@@ -35,15 +35,11 @@ def compress(mask: int, sub: int) -> int:
     return out
 
 
-def expand(mask: int, sub: int) -> int:
-    """Inverse of compress: map dense bit i back to the i-th bit of sub."""
-    out = 0
-    i = 0
-    s = sub
-    while s:
-        b = s & -s
-        if mask >> i & 1:
-            out |= b
-        i += 1
-        s ^= b
-    return out
+def submasks(mask: int) -> Iterator[int]:
+    """Yield every subset of mask in ascending order, from 0 to mask."""
+    s = 0
+    while True:
+        yield s
+        if s == mask:
+            return
+        s = (s - mask) & mask

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .bitsets import bits
 from .graphs import Graph, build_graph, enumerate_graphs, family
-from .harness import CHECKS, CHECK_ORDER, analyze, verify_theorems
+from .harness import CHECK_ORDER, analyze, verify_theorems
 from .homology import hochster_betti, parse_field
 from .ideals import dual_ideal, edge_ideal
 
@@ -182,14 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the check suite over enumerations")
-    p.add_argument("--max-n", type=int, default=int(_env("MAX_N", "6")))
+    p.add_argument("--max-n", type=int, default=_env("MAX_N", "6"))
     p.add_argument("--connected", action=argparse.BooleanOptionalAction,
                    default=_env("CONNECTED", "1") not in ("0", "false", ""))
     p.add_argument("--theorems", default=_env("THEOREMS", ""),
                    help="comma-separated check ids (default: all); known: "
                         + ", ".join(CHECK_ORDER))
-    p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
-    p.add_argument("--jobs", type=int, default=int(_env("JOBS", "1")))
+    p.add_argument("--seed", type=int, default=_env("SEED", "0"))
+    p.add_argument("--jobs", type=int, default=_env("JOBS", "1"))
     p.add_argument("--no-families", action="store_true",
                    help="skip the generated d-tree families")
     add_field(p)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import bits, compress
+from .bitsets import bits, compress, submasks
 from .graphs import Graph, maximal_independent_sets
 from .ideals import SquarefreeIdeal, minimal_hitting_sets, squarefree_ideal
 
@@ -37,15 +37,7 @@ class SimplicialComplex:
         return any(f & fc == f for fc in self.effective_facets())
 
     def faces(self) -> list[int]:
-        seen: set[int] = set()
-        for fc in self.effective_facets():
-            s = fc
-            while True:
-                seen.add(s)
-                if s == 0:
-                    break
-                s = (s - 1) & fc
-        return sorted(seen)
+        return sorted({f for fc in self.effective_facets() for f in submasks(fc)})
 
 
 def simplicial_complex(ground: int, faces, is_void: bool = False) -> SimplicialComplex:

@@ -322,6 +322,8 @@ def verify_theorems(max_n: int = 6, connected_only: bool = True,
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
         wanted = [c for c in CHECK_ORDER if c in set(checks)]
+    if not wanted:
+        raise ValueError("no checks selected")
     if max_n > 8:
         raise ValueError("enumeration is limited to 8 vertices")
 

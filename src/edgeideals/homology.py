@@ -9,12 +9,13 @@ floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .betti import BettiTable
-from .bitsets import bits, compress
-from .complexes import SimplicialComplex, simplicial_complex
+from .bitsets import bits, submasks
+from .complexes import SimplicialComplex
 from .graphs import Graph
-from .ideals import SquarefreeIdeal, edge_ideal, minimal_hitting_sets
+from .ideals import SquarefreeIdeal, edge_ideal
 
 
 @dataclass(frozen=True)
@@ -148,18 +149,9 @@ def face_counts(c: SimplicialComplex) -> dict[int, int]:
     return out
 
 
-def reduced_homology_ranks(c: SimplicialComplex, field: FieldChoice = GF2) -> dict[int, int]:
-    """Ranks of the reduced homology groups in dimensions -1..dim.
-
-    The empty complex {emptyset} has rank 1 in dimension -1; the void
-    complex has no faces and an empty rank table.
-    """
-    if c.ground > 24:
-        raise ValueError("homology is limited to 24 ground elements")
-    if c.is_void:
-        return {}
+def _ranks_from_faces(faces: list[int], field: FieldChoice) -> dict[int, int]:
     by_dim: dict[int, list[int]] = {}
-    for f in c.faces():
+    for f in faces:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
     top = max(by_dim)
     brank = {d: _boundary_rank(by_dim[d - 1], by_dim[d], field)
@@ -171,6 +163,37 @@ def reduced_homology_ranks(c: SimplicialComplex, field: FieldChoice = GF2) -> di
     return out
 
 
+def reduced_homology_ranks(c: SimplicialComplex, field: FieldChoice = GF2) -> dict[int, int]:
+    """Ranks of the reduced homology groups in dimensions -1..dim.
+
+    The empty complex {emptyset} has rank 1 in dimension -1; the void
+    complex has no faces and an empty rank table.
+    """
+    if c.ground > 24:
+        raise ValueError("homology is limited to 24 ground elements")
+    if c.is_void:
+        return {}
+    return _ranks_from_faces(c.faces(), field)
+
+
+def restriction_homology(ideal: SquarefreeIdeal,
+                         field: FieldChoice = GF2) -> Iterator[tuple[int, dict[int, int]]]:
+    """Yield (S, reduced homology ranks of the ideal's complex restricted to
+    S) for S = 0 and every non-face S, ascending; faces of that complex are
+    the sets containing no generator, and the faces of the restriction to S
+    are the faces inside S. A face S restricts to an acyclic full simplex."""
+    if ideal.is_unit:
+        raise ValueError("Betti numbers of the unit quotient are undefined")
+    if ideal.nvars > 12:
+        raise ValueError("subset homology is limited to 12 variables")
+    gens = set(ideal.gens)
+    nonface = bytearray(1 << ideal.nvars)
+    for s in range(len(nonface)):
+        nonface[s] = s in gens or any(nonface[s ^ (1 << b)] for b in bits(s))
+        if nonface[s] or not s:
+            yield s, _ranks_from_faces([f for f in submasks(s) if not nonface[f]], field)
+
+
 def hochster_betti(ideal: SquarefreeIdeal, field: FieldChoice = GF2) -> BettiTable:
     """Graded Betti numbers of R/I for a squarefree monomial ideal I, by
     summing reduced homology ranks of the restrictions of the associated
@@ -178,24 +201,10 @@ def hochster_betti(ideal: SquarefreeIdeal, field: FieldChoice = GF2) -> BettiTab
 
         beta_{i,j}(R/I) = sum over |S| = j of rank Htilde_{j-i-1}(complex|_S)
     """
-    if ideal.is_unit:
-        raise ValueError("Betti numbers of the unit quotient are undefined")
-    n = ideal.nvars
-    if n > 12:
-        raise ValueError("subset homology is limited to 12 variables")
     entries: dict[tuple[int, int], int] = {}
-    for s in range(1 << n):
-        inside = [g for g in ideal.gens if not g & ~s]
-        if not inside:
-            if s == 0:
-                entries[(0, 0)] = entries.get((0, 0), 0) + 1
-            continue
+    for s, ranks in restriction_homology(ideal, field):
         j = s.bit_count()
-        rel = [compress(g, s) for g in inside]
-        full = (1 << j) - 1
-        facets = [full & ~h for h in minimal_hitting_sets(rel)]
-        restricted = simplicial_complex(j, facets)
-        for d, r in reduced_homology_ranks(restricted, field).items():
+        for d, r in ranks.items():
             if r:
                 key = (j - 1 - d, j)
                 entries[key] = entries.get(key, 0) + r

@@ -10,8 +10,8 @@ from typing import Union
 from .bitsets import bits
 from .complexes import SimplicialComplex, independence_complex, minimal_nonfaces
 from .graphs import Graph, maximal_independent_sets
-from .homology import GF2, FieldChoice, reg_pd
-from .ideals import dual_ideal, linear_quotient_search
+from .homology import GF2, FieldChoice, restriction_homology
+from .ideals import dual_ideal, edge_ideal, linear_quotient_search
 
 
 @dataclass(frozen=True)
@@ -196,15 +196,16 @@ def shelling_bruteforce(c: SimplicialComplex | Graph) -> ShellingCertificate | N
 
 def reducing_vertex(g: Graph, field: FieldChoice = GF2) -> tuple[int, int, int] | None:
     """Lowest vertex x with reg(R/I(g)) <= reg(R/I(g - N[x])) + 1, returned
-    as (x, reg of g, reg of the reduced graph); None if no vertex works."""
+    as (x, reg of g, reg of the reduced graph); None if no vertex works.
+    Ind(g - N[x]) is Ind(g) restricted to V - N[x], so one restriction pass
+    serves all: nonzero Htilde_d on S counts in row d + 1 of every W >= S."""
     if g.n > 12:
         raise ValueError("regularity oracle is limited to 12 vertices")
-    from .graphs import induced_subgraph
-
-    reg_g = reg_pd(g, field)[0]
-    for x in range(g.n):
-        h, _ = induced_subgraph(g, g.full & ~(1 << x) & ~g.adj[x])
-        reg_h = reg_pd(h, field)[0]
-        if reg_g <= reg_h + 1:
-            return x, reg_g, reg_h
-    return None
+    kept = [g.full] + [g.full & ~(1 << x) & ~g.adj[x] for x in range(g.n)]
+    reg = [0] * len(kept)
+    for s, ranks in restriction_homology(edge_ideal(g), field):
+        row = max((d + 1 for d, r in ranks.items() if r), default=0)
+        for k, sub in enumerate(kept):
+            if not s & ~sub:
+                reg[k] = max(reg[k], row)
+    return next(((x, reg[0], r) for x, r in enumerate(reg[1:]) if reg[0] <= r + 1), None)

@@ -3,9 +3,20 @@
 Everything here works on plain sets and itertools enumeration, on purpose:
 no bitmask tricks, no pruning, no shared code with the package under test.
 Only viable at very small sizes.
+
+The exception is at the end: the per-subset Hochster computation, which
+rebuilds each restricted complex from Berge transversals, and the
+reducing-vertex search that reruns it on every G - N[x]. They reuse the
+package's transversal, complex and rank code, but none of its restriction
+pass, and serve as the reference for that pass.
 """
 
 from itertools import combinations, permutations
+
+from edgeideals import (BettiTable, edge_ideal, induced_subgraph,
+                        minimal_hitting_sets, reduced_homology_ranks,
+                        simplicial_complex)
+from edgeideals.bitsets import compress
 
 
 def edge_set(g):
@@ -238,3 +249,38 @@ def brute_whisker(g):
             if ok:
                 return r
     return 0
+
+
+def hochster_betti_by_transversals(ideal, field):
+    """Betti table of R/I from a restricted complex built afresh for every
+    variable subset S: compress the generators inside S, take their minimal
+    transversals, and complement them into facets."""
+    entries = {}
+    for s in range(1 << ideal.nvars):
+        inside = [g for g in ideal.gens if not g & ~s]
+        if not inside:
+            if s == 0:
+                entries[(0, 0)] = entries.get((0, 0), 0) + 1
+            continue
+        j = s.bit_count()
+        rel = [compress(g, s) for g in inside]
+        full = (1 << j) - 1
+        facets = [full & ~h for h in minimal_hitting_sets(rel)]
+        restricted = simplicial_complex(j, facets)
+        for d, r in reduced_homology_ranks(restricted, field).items():
+            if r:
+                key = (j - 1 - d, j)
+                entries[key] = entries.get(key, 0) + r
+    return BettiTable(entries, field.tag)
+
+
+def reducing_vertex_by_subgraphs(g, field):
+    """Lowest x with reg(G) <= reg(G - N[x]) + 1, each regularity from its
+    own Betti table of a relabelled induced subgraph."""
+    reg_g = hochster_betti_by_transversals(edge_ideal(g), field).reg()
+    for x in range(g.n):
+        h, _ = induced_subgraph(g, g.full & ~(1 << x) & ~g.adj[x])
+        reg_h = hochster_betti_by_transversals(edge_ideal(h), field).reg()
+        if reg_g <= reg_h + 1:
+            return x, reg_g, reg_h
+    return None

@@ -116,3 +116,20 @@ def test_bad_input_exits_2(capsys):
 def test_field_option(capsys):
     assert main(["analyze", "complete:3", "--field", "q"]) == 0
     assert json.loads(capsys.readouterr().out)["field"] == "q"
+
+
+def test_verify_empty_theorem_list_exits_2(capsys):
+    assert main(["verify", "--max-n", "6", "--theorems", ","]) == 2
+    assert "no checks selected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["MAX_N", "SEED", "JOBS"])
+def test_bad_integer_env_default_is_a_verify_usage_error(name, monkeypatch,
+                                                         capsys):
+    monkeypatch.setenv(f"EDGEIDEALS_{name}", "abc")
+    assert main(["generate", "3", "--count"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--no-families"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err

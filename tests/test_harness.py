@@ -39,6 +39,17 @@ def test_unknown_check_is_rejected():
         verify_theorems(max_n=9)
 
 
+def test_empty_check_selection_is_rejected_before_enumerating(monkeypatch):
+    import edgeideals.harness as harness
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated graphs for an empty selection")
+
+    monkeypatch.setattr(harness, "enumerate_graphs", no_enumeration)
+    with pytest.raises(ValueError, match="no checks selected"):
+        verify_theorems(max_n=6, checks=[])
+
+
 def test_check_subset_selection():
     report = verify_theorems(max_n=3, checks=["reg-le-matching"],
                              with_families=False)

@@ -3,11 +3,13 @@ from math import comb
 
 import pytest
 
-from edgeideals import (GF2, GF3, Q, edge_ideal, face_counts, family,
-                        hochster_betti, independence_complex, parse_field,
+import _oracles as oracle
+from edgeideals import (GF2, GF3, Q, dual_ideal, edge_ideal, enumerate_graphs,
+                        face_counts, family, hochster_betti,
+                        independence_complex, minimal_nonfaces, parse_field,
                         reduced_homology_ranks, reg_pd, simplicial_complex,
                         squarefree_ideal)
-from edgeideals.bitsets import mask_of
+from edgeideals.bitsets import mask_of, submasks
 
 
 def test_homology_of_standard_complexes():
@@ -55,6 +57,16 @@ def test_projective_plane_homology_depends_on_characteristic():
     assert reduced_homology_ranks(c, GF2) == {-1: 0, 0: 0, 1: 1, 2: 1}
     assert reduced_homology_ranks(c, Q) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert reduced_homology_ranks(c, GF3) == {-1: 0, 0: 0, 1: 0, 2: 0}
+
+
+def test_projective_plane_betti_table_depends_on_characteristic():
+    ideal = minimal_nonfaces(
+        simplicial_complex(6, [mask_of(t) for t in _PROJECTIVE_PLANE]))
+    assert hochster_betti(ideal, GF2).triples() == [
+        (0, 0, 1), (1, 3, 10), (2, 4, 15), (3, 5, 6), (3, 6, 1), (4, 6, 1)]
+    for field in (GF3, Q):
+        assert hochster_betti(ideal, field).triples() == [
+            (0, 0, 1), (1, 3, 10), (2, 4, 15), (3, 5, 6)]
 
 
 def test_face_counts():
@@ -141,3 +153,25 @@ def test_reg_pd_frozen():
     assert reg_pd(family("cycle:5")) == (2, 3)
     assert reg_pd(family("path:3")) == (1, 2)
     assert reg_pd(family("edgeless:3")) == (0, 0)
+
+
+def test_submasks_ascend_through_every_subset():
+    assert list(submasks(0)) == [0]
+    assert list(submasks(0b1011)) == [0b0000, 0b0001, 0b0010, 0b0011,
+                                       0b1000, 0b1001, 0b1010, 0b1011]
+
+
+def test_hochster_matches_transversal_oracle():
+    # every class on at most 6 vertices, connected or not; the cover ideal
+    # of an edgeless graph is the unit ideal and has no Betti table
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, connected_only=False):
+            ideals = [edge_ideal(g)]
+            if g.edge_count():
+                ideals.append(dual_ideal(ideals[0]))
+            for ideal in ideals:
+                for field in (GF2, GF3, Q):
+                    expect = oracle.hochster_betti_by_transversals(ideal, field)
+                    got = hochster_betti(ideal, field)
+                    assert got.entries == expect.entries, (g, ideal, field)
+                    assert got.field_tag == expect.field_tag

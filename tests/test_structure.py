@@ -3,8 +3,8 @@ import random
 import pytest
 
 import _oracles as oracle
-from edgeideals import (ShellingCertificate, VDLeaf, VDNode, build_graph,
-                        family, independence_complex, is_shedding_vertex,
+from edgeideals import (GF2, ShellingCertificate, VDLeaf, VDNode, build_graph,
+                        enumerate_graphs, family, independence_complex, is_shedding_vertex,
                         reducing_vertex, root_shedding_vertex, shellable,
                         shelling_bruteforce, simplicial_complex,
                         validate_shelling, validate_vertex_decomposition,
@@ -130,3 +130,10 @@ def test_reducing_vertex_frozen():
     assert reducing_vertex(family("complete:2")) == (0, 1, 0)
     with pytest.raises(ValueError):
         reducing_vertex(build_graph(13, []))
+
+
+def test_reducing_vertex_matches_subgraph_oracle():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, connected_only=False):
+            assert reducing_vertex(g) == \
+                oracle.reducing_vertex_by_subgraphs(g, GF2), g
