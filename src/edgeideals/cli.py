@@ -96,6 +96,11 @@ def cmd_verify(args) -> int:
     checks = None
     if args.theorems:
         checks = [c.strip() for c in args.theorems.split(",") if c.strip()]
+    if args.connected is None:
+        value = _env("CONNECTED", "1")
+        if value.lower() not in ("1", "true", "0", "false", ""):
+            raise ValueError(f"EDGEIDEALS_CONNECTED must be 1, true, 0 or false: {value!r}")
+        args.connected = value.lower() in ("1", "true")
     report = verify_theorems(
         max_n=args.max_n, connected_only=args.connected, checks=checks,
         field=parse_field(args.field), seed=args.seed, jobs=args.jobs,
@@ -183,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the check suite over enumerations")
     p.add_argument("--max-n", type=int, default=_env("MAX_N", "6"))
-    p.add_argument("--connected", action=argparse.BooleanOptionalAction,
-                   default=_env("CONNECTED", "1") not in ("0", "false", ""))
+    p.add_argument("--connected", action=argparse.BooleanOptionalAction)
     p.add_argument("--theorems", default=_env("THEOREMS", ""),
                    help="comma-separated check ids (default: all); known: "
                         + ", ".join(CHECK_ORDER))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .bitsets import bits, compress, submasks
 from .graphs import Graph, maximal_independent_sets
 from .ideals import SquarefreeIdeal, minimal_hitting_sets, squarefree_ideal
+from .limits import check
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,9 @@ class SimplicialComplex:
 def simplicial_complex(ground: int, faces, is_void: bool = False) -> SimplicialComplex:
     """Normalise an arbitrary face list to the maximal antichain.  A face
     list of just the empty set collapses to the {emptyset} representation."""
-    if ground < 0 or ground > 64:
-        raise ValueError("ground set must have between 0 and 64 elements")
+    if ground < 0:
+        raise ValueError("ground set size must be non-negative")
+    check("bitmask", ground)
     faces = list(faces)
     if is_void:
         if faces:

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bitsets import bits, mask_of
+from .limits import CapExceeded, check
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,9 @@ class Graph:
         return max((a.bit_count() for a in self.adj), default=0)
 
     def validate(self) -> None:
-        if self.n < 0 or self.n > 64 or len(self.adj) != self.n:
+        if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("bad vertex count")
+        check("bitmask", self.n)
         for v, a in enumerate(self.adj):
             if a >> self.n:
                 raise ValueError(f"adjacency of {v} leaves the vertex range")
@@ -66,8 +68,9 @@ class DTreeCertificate:
 
 
 def build_graph(n: int, edges) -> Graph:
-    if n < 0 or n > 64:
-        raise ValueError("vertex count must be between 0 and 64")
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    check("bitmask", n)
     adj = [0] * n
     seen = set()
     for e in edges:
@@ -111,16 +114,14 @@ def whisker(g: Graph, sub: int) -> Graph:
     pendants get labels n, n+1, ..."""
     if sub & ~g.full:
         raise ValueError("subset leaves the vertex range")
-    k = sub.bit_count()
-    if g.n + k > 64:
-        raise ValueError("whiskered graph would exceed 64 vertices")
+    check("bitmask", g.n + sub.bit_count())
     adj = list(g.adj)
     nxt = g.n
     for v in bits(sub):
         adj[v] |= 1 << nxt
         adj.append(1 << v)
         nxt += 1
-    return Graph(g.n + k, tuple(adj))
+    return Graph(nxt, tuple(adj))
 
 
 def is_connected(g: Graph) -> bool:
@@ -262,8 +263,6 @@ def _random_d_tree(d: int, steps: int, seed: int) -> Graph:
     if d < 1:
         raise ValueError("d must be at least 1")
     n = d + 1 + steps
-    if n > 64:
-        raise ValueError("d-tree would exceed 64 vertices")
     rng = random.Random(seed)
     edges = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
     g = build_graph(n, edges)  # pads isolated vertices d+1..n-1
@@ -301,6 +300,8 @@ def family(spec: str) -> Graph:
                 raise ValueError("steps must be non-negative")
             return _random_d_tree(d, steps, seed)
         k = int(arg)
+    except CapExceeded:
+        raise
     except ValueError as exc:
         raise ValueError(f"bad family arguments in {spec!r}: {exc}") from None
     if name == "path":
@@ -350,8 +351,7 @@ def _perm_tables(n: int):
 
 def _canonical(g: Graph) -> tuple[int, Graph]:
     n = g.n
-    if n > 8:
-        raise ValueError("canonical forms are limited to 8 vertices")
+    check("canonical", n)
     if n <= 1:
         return 0, g
     perms, iu, ju, w = _perm_tables(n)
@@ -401,9 +401,10 @@ def _iso_classes(n: int) -> tuple[Graph, ...]:
 
 def enumerate_graphs(n: int, connected_only: bool = False):
     """Yield one canonically labelled representative of every isomorphism
-    class of n-vertex graphs, in increasing canonical form.  n <= 8."""
-    if n < 0 or n > 8:
-        raise ValueError("enumeration is limited to 8 vertices")
+    class of n-vertex graphs, in increasing canonical form."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    check("canonical", n)
     for g in _iso_classes(n):
         if connected_only and not is_connected(g):
             continue

@@ -23,6 +23,7 @@ from .homology import GF2, FieldChoice, hochster_betti
 from .ideals import (betti_from_certificate, dual_ideal, edge_ideal,
                      linear_quotient_search, verify_dual_decomposition)
 from .invariants import compute_invariants
+from .limits import check, fits
 from .structure import (reducing_vertex, root_shedding_vertex, shellable,
                         shelling_bruteforce, validate_shelling,
                         vertex_decomposable)
@@ -158,7 +159,7 @@ def _check_dtree_pd_maxdeg(w: GraphWorkup):
 
 def _check_shelling_quotients(w: GraphWorkup):
     c = independence_complex(w.g)
-    if len(c.effective_facets()) > 12:
+    if not fits("shelling_bruteforce", len(c.effective_facets())):
         return "skip", "too many facets for the backtracking oracle", {}
     direct = shelling_bruteforce(c)
     data = {"via_quotients": w.shelling is not None,
@@ -299,7 +300,7 @@ def _run_payload(payload) -> list[dict]:
                "edges": [list(e) for e in edges]}
     if spec is not None:
         subject["family"] = spec
-    if n <= 8:
+    if fits("canonical", n):
         subject["canonical"] = canonical_form(g)
     out = []
     for cid in checks:
@@ -324,8 +325,7 @@ def verify_theorems(max_n: int = 6, connected_only: bool = True,
         wanted = [c for c in CHECK_ORDER if c in set(checks)]
     if not wanted:
         raise ValueError("no checks selected")
-    if max_n > 8:
-        raise ValueError("enumeration is limited to 8 vertices")
+    check("canonical", max_n)
 
     tasks = []
     for n in range(1, max_n + 1):
@@ -375,10 +375,10 @@ def analyze(g: Graph, field: FieldChoice = GF2) -> dict:
         "max_degree": g.max_degree(),
         "field": field.tag,
     }
-    if g.n <= 8:
+    if fits("canonical", g.n):
         report["canonical"] = canonical_form(g)
 
-    if g.n <= 16:
+    if fits("invariants", g.n):
         inv = compute_invariants(g)
         report["invariants"] = {
             "matching": inv.matching,
@@ -396,7 +396,7 @@ def analyze(g: Graph, field: FieldChoice = GF2) -> dict:
     else:
         report["chordal"] = is_chordal(g) is not None
 
-    if g.n <= 12:
+    if fits("subset_homology", g.n):
         table = hochster_betti(edge_ideal(g), field)
         report["betti"] = [list(t) for t in table.triples()]
         report["reg"] = table.reg()
@@ -404,20 +404,22 @@ def analyze(g: Graph, field: FieldChoice = GF2) -> dict:
         ideal = edge_ideal(g)
         dual = dual_ideal(ideal)
         report["cover_ideal"] = [sorted(bits(m)) for m in dual.gens]
-        if ideal.gens:
-            lq = linear_quotient_search(ideal, degree_monotone=True)
+        if ideal.gens and fits("linear_quotients", len(ideal.gens)):
+            # an order exists iff the complement is chordal (Froberg; Herzog-Hibi-Zheng)
+            lq = (linear_quotient_search(ideal, degree_monotone=True)
+                  if report["complement_chordal"] else None)
             report["edge_ideal_linear_quotients"] = (
                 None if lq is None else
                 {"order": [sorted(bits(ideal.gens[i])) for i in lq.order],
                  "set_sizes": [s.bit_count() for s in lq.sets]})
 
-    if g.n <= 16:
+    if fits("vertex_decomposition", g.n):
         cert = vertex_decomposable(g)
         report["vertex_decomposable"] = cert is not None
         if cert is not None:
             report["root_shedding_vertex"] = root_shedding_vertex(cert)
         c = independence_complex(g)
-        if len(c.effective_facets()) <= 24:
+        if fits("shelling", len(c.effective_facets())):
             sh = shellable(c)
             report["shellable"] = sh is not None
             if sh is not None:

@@ -16,6 +16,7 @@ from .bitsets import bits, submasks
 from .complexes import SimplicialComplex
 from .graphs import Graph
 from .ideals import SquarefreeIdeal, edge_ideal
+from .limits import check
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,7 @@ def reduced_homology_ranks(c: SimplicialComplex, field: FieldChoice = GF2) -> di
     The empty complex {emptyset} has rank 1 in dimension -1; the void
     complex has no faces and an empty rank table.
     """
-    if c.ground > 24:
-        raise ValueError("homology is limited to 24 ground elements")
+    check("homology", c.ground)
     if c.is_void:
         return {}
     return _ranks_from_faces(c.faces(), field)
@@ -184,8 +184,7 @@ def restriction_homology(ideal: SquarefreeIdeal,
     are the faces inside S. A face S restricts to an acyclic full simplex."""
     if ideal.is_unit:
         raise ValueError("Betti numbers of the unit quotient are undefined")
-    if ideal.nvars > 12:
-        raise ValueError("subset homology is limited to 12 variables")
+    check("subset_homology", ideal.nvars)
     gens = set(ideal.gens)
     nonface = bytearray(1 << ideal.nvars)
     for s in range(len(nonface)):

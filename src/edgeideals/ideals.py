@@ -10,6 +10,7 @@ from typing import Iterable
 from .betti import BettiTable
 from .bitsets import bits
 from .graphs import Graph, induced_subgraph, maximal_independent_sets
+from .limits import check
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,7 @@ def linear_quotient_search(ideal: SquarefreeIdeal,
         raise ValueError("linear quotients are undefined for the zero and unit ideals")
     gens = ideal.gens
     m = len(gens)
-    # proving NO order exists can visit 2^m placed-sets; succeeding is fast
-    if m > 40:
-        raise ValueError("generator count exceeds the search cap of 40")
+    check("linear_quotients", m)
     degs = [x.bit_count() for x in gens]
     diff = [[gens[j] & ~gens[i] for i in range(m)] for j in range(m)]
     single = [[diff[j][i].bit_count() == 1 for i in range(m)] for j in range(m)]

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .bitsets import bits, mask_of
 from .graphs import Graph, complement, is_chordal
+from .limits import check
 
 
 def _edges_within(g: Graph, mask: int) -> int:
@@ -63,8 +64,7 @@ def _best_compatible(count: int, compat: list[int]) -> tuple[int, list[int]]:
 
 def matching_number(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     """Maximum set of pairwise vertex-disjoint edges, found exhaustively."""
-    if g.n > 16:
-        raise ValueError("invariant search is limited to 16 vertices")
+    check("invariants", g.n)
     e = g.edges()
     masks = [mask_of(x) for x in e]
     compat = [0] * len(e)
@@ -79,8 +79,7 @@ def matching_number(g: Graph) -> tuple[int, list[tuple[int, int]]]:
 
 def induced_matching_number(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     """Maximum matching whose edges pairwise induce no extra edge."""
-    if g.n > 16:
-        raise ValueError("invariant search is limited to 16 vertices")
+    check("invariants", g.n)
     e = g.edges()
     compat = [0] * len(e)
     for i in range(len(e)):
@@ -100,8 +99,7 @@ def path_packing_number(g: Graph, induced_paths: bool = False
     Two-edge paths are walks u-v-w on three distinct vertices; by default
     u and w may be adjacent, with induced_paths=True they must not be.
     """
-    if g.n > 16:
-        raise ValueError("invariant search is limited to 16 vertices")
+    check("invariants", g.n)
     units: list[tuple[int, ...]] = list(g.edges())
     seen: set[int] = set()
     for v in range(g.n):
@@ -139,8 +137,7 @@ def whisker_number(g: Graph) -> tuple[int, list[tuple[int, int]]]:
 
     Witness pairs are (a_i, b_i).
     """
-    if g.n > 16:
-        raise ValueError("invariant search is limited to 16 vertices")
+    check("invariants", g.n)
     units: list[tuple[int, int]] = []
     for u, v in g.edges():
         units.append((u, v))

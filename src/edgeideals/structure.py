@@ -12,6 +12,7 @@ from .complexes import SimplicialComplex, independence_complex, minimal_nonfaces
 from .graphs import Graph, maximal_independent_sets
 from .homology import GF2, FieldChoice, restriction_homology
 from .ideals import dual_ideal, edge_ideal, linear_quotient_search
+from .limits import check
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,7 @@ def vertex_decomposable(g: Graph) -> VDCert | None:
     branch drops the vertex, the link branch drops its closed neighbourhood.
     Results are memoised on the vertex subset of the original graph.
     """
-    if g.n > 16:
-        raise ValueError("vertex decomposition search is limited to 16 vertices")
+    check("vertex_decomposition", g.n)
     memo: dict[int, VDCert | None] = {}
 
     def rec(sub: int) -> VDCert | None:
@@ -144,8 +144,7 @@ def shellable(obj: Graph | SimplicialComplex) -> ShellingCertificate | None:
     eff = c.effective_facets()
     if len(eff) <= 1:
         return ShellingCertificate(eff)
-    if len(eff) > 24:
-        raise ValueError("shelling search is limited to 24 facets")
+    check("shelling", len(eff))
     ideal = dual_ideal(minimal_nonfaces(c))
     cert = linear_quotient_search(ideal)
     if cert is None:
@@ -162,8 +161,7 @@ def shelling_bruteforce(c: SimplicialComplex | Graph) -> ShellingCertificate | N
     if len(eff) <= 1:
         return ShellingCertificate(eff)
     m = len(eff)
-    if m > 12:
-        raise ValueError("brute-force shelling is limited to 12 facets")
+    check("shelling_bruteforce", m)
     diff = [[eff[j] & ~eff[i] for i in range(m)] for j in range(m)]
     single = [[diff[j][i].bit_count() == 1 for i in range(m)] for j in range(m)]
     failed: set[int] = set()
@@ -199,8 +197,6 @@ def reducing_vertex(g: Graph, field: FieldChoice = GF2) -> tuple[int, int, int] 
     as (x, reg of g, reg of the reduced graph); None if no vertex works.
     Ind(g - N[x]) is Ind(g) restricted to V - N[x], so one restriction pass
     serves all: nonzero Htilde_d on S counts in row d + 1 of every W >= S."""
-    if g.n > 12:
-        raise ValueError("regularity oracle is limited to 12 vertices")
     kept = [g.full] + [g.full & ~(1 << x) & ~g.adj[x] for x in range(g.n)]
     reg = [0] * len(kept)
     for s, ranks in restriction_homology(edge_ideal(g), field):

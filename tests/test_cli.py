@@ -133,3 +133,29 @@ def test_bad_integer_env_default_is_a_verify_usage_error(name, monkeypatch,
         main(["verify", "--no-families"])
     assert exc.value.code == 2
     assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_bad_connected_env_default_is_a_verify_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("EDGEIDEALS_CONNECTED", "abc")
+    assert main(["generate", "3", "--count"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert main(["verify", "--no-families"]) == 2
+    assert "EDGEIDEALS_CONNECTED" in capsys.readouterr().err
+    assert main(["verify", "--max-n", "2", "--no-families", "--no-connected",
+                 "--theorems", "reg-le-matching"]) == 0
+
+
+@pytest.mark.parametrize("value, connected", [
+    ("1", True), ("TRUE", True), ("0", False), ("False", False), ("", False)])
+def test_connected_env_default_values(value, connected, monkeypatch, tmp_path,
+                                      capsys):
+    monkeypatch.setenv("EDGEIDEALS_CONNECTED", value)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--max-n", "2", "--no-families",
+                 "--theorems", "reg-le-matching", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["connected_only"] is connected
+
+
+def test_generate_refuses_a_negative_vertex_count(capsys):
+    assert main(["generate", "-1"]) == 2
+    assert "non-negative" in capsys.readouterr().err

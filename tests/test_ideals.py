@@ -2,9 +2,10 @@ import pytest
 
 import _oracles as oracle
 from edgeideals import (LinearQuotientCertificate, betti_from_certificate,
-                        build_graph, dual_ideal, edge_ideal, family,
-                        hochster_betti, ideal_table_to_quotient,
-                        independence_complex, linear_quotient_search,
+                        build_graph, complement, dual_ideal, edge_ideal,
+                        enumerate_graphs, family, hochster_betti,
+                        ideal_table_to_quotient, independence_complex,
+                        is_chordal, linear_quotient_search,
                         minimal_hitting_sets, minimal_vertex_covers,
                         squarefree_ideal, validate_linear_quotients,
                         verify_dual_decomposition)
@@ -113,6 +114,17 @@ def test_monotone_implies_plain_linear_quotients(graphs_through_5):
         if plain is not None:
             assert validate_linear_quotients(ideal, plain)
 
+
+
+def test_edge_ideal_has_linear_quotients_iff_complement_is_chordal():
+    # Froberg; Herzog, Hibi and Zheng. analyze relies on this instead of a
+    # search that can take forever to prove that no order exists.
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, connected_only=False):
+            if g.edge_count() == 0:
+                continue
+            found = linear_quotient_search(edge_ideal(g), degree_monotone=True)
+            assert (found is not None) == (is_chordal(complement(g)) is not None), g
 
 def test_validate_linear_quotients_rejects_tampering():
     ideal = squarefree_ideal(4, [0b0011, 0b0101, 0b1110])
