@@ -12,8 +12,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .bitsets import bits, mask_of
 from .limits import CapExceeded, check
 
@@ -336,39 +334,49 @@ def family(spec: str) -> Graph:
 
 # --- canonical forms and enumeration -------------------------------------
 
-_PERM_TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _perm_tables(n: int):
-    cached = _PERM_TABLES.get(n)
-    if cached is None:
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-        iu, ju = np.triu_indices(n, 1)
-        w = (1 << np.arange(len(iu) - 1, -1, -1)).astype(np.int64)
-        cached = _PERM_TABLES[n] = (perms, iu, ju, w)
-    return cached
-
-
 def _canonical(g: Graph) -> tuple[int, Graph]:
+    """Exact search for the least string of canonical_form.  Positions are
+    filled in order; the unplaced vertices sit in ordered cells, each owning
+    a run of consecutive positions.  Placing v from the first cell fixes the
+    next row: each cell splits into v's non-neighbours, then its neighbours.
+    Only first-cell vertices with the least row are tried, one per twin pair
+    (swapping twins fixes the state), and prefixes above the best are cut."""
     n = g.n
     check("canonical", n)
-    if n <= 1:
-        return 0, g
-    perms, iu, ju, w = _perm_tables(n)
-    a = np.zeros((n, n), dtype=np.int64)
-    for v in range(n):
-        for u in bits(g.adj[v]):
-            a[v, u] = 1
-    permuted = a[perms[:, :, None], perms[:, None, :]]
-    vals = permuted[:, iu, ju] @ w
-    k = int(vals.argmin())
-    perm = perms[k]
-    adj = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if a[perm[i], perm[j]]:
-                adj[i] |= 1 << j
-    return int(vals[k]), Graph(n, tuple(adj))
+    adj = g.adj
+    twins = [sum(1 << w for w in range(n)
+                 if w != v and adj[v] & ~(1 << w) == adj[w] & ~(1 << v))
+             for v in range(n)]
+    best = [1 << n * (n - 1) // 2, ()]  # above every string: (value, order)
+
+    def search(cells: list[int], order: tuple[int, ...], prefix: int) -> None:
+        if len(order) == n:
+            best[:] = min(best, [prefix, order])
+            return
+        options = []
+        for v in bits(cells[0]):
+            row, split = 0, []
+            for c in cells:
+                c &= ~(1 << v)
+                row = row << c.bit_count() | (1 << (c & adj[v]).bit_count()) - 1
+                split += [s for s in (c & ~adj[v], c & adj[v]) if s]
+            options.append((row, v, split))
+        width = n - 1 - len(order)
+        least = min(options)[0]
+        prefix = prefix << width | least
+        if prefix > best[0] >> width * (width - 1) // 2:
+            return
+        tried = 0
+        for row, v, split in options:
+            if row == least and not twins[v] & tried:
+                tried |= 1 << v
+                search(split, order + (v,), prefix)
+
+    search([g.full], (), 0)
+    value, order = best
+    pos = {v: i for i, v in enumerate(order)}
+    return value, Graph(n, tuple(mask_of(pos[u] for u in bits(adj[v]))
+                                 for v in order))
 
 
 def canonical_form(g: Graph) -> int:
@@ -386,8 +394,6 @@ def canonical_graph(g: Graph) -> Graph:
 def _iso_classes(n: int) -> tuple[Graph, ...]:
     if n == 0:
         return (Graph(0, ()),)
-    if n == 1:
-        return (Graph(1, (0,)),)
     found: dict[int, Graph] = {}
     for h in _iso_classes(n - 1):
         for s in range(1 << (n - 1)):

@@ -10,6 +10,7 @@ conclusion yields a fail record carrying both sides of the violated
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -325,6 +326,8 @@ def verify_theorems(max_n: int = 6, connected_only: bool = True,
         wanted = [c for c in CHECK_ORDER if c in set(checks)]
     if not wanted:
         raise ValueError("no checks selected")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     check("canonical", max_n)
 
     tasks = []
@@ -345,8 +348,9 @@ def verify_theorems(max_n: int = 6, connected_only: bool = True,
             tasks.append(("family-complement", tc.n, tuple(tc.edges()), spec,
                           d, ("dtree-pd-maxdeg",), field))
 
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             chunks = pool.map(_run_payload, tasks)
     else:
         chunks = [_run_payload(t) for t in tasks]

@@ -13,14 +13,27 @@ pass, and serve as the reference for that pass.
 
 from itertools import combinations, permutations
 
-from edgeideals import (BettiTable, edge_ideal, induced_subgraph,
-                        minimal_hitting_sets, reduced_homology_ranks,
-                        simplicial_complex)
+from edgeideals import (BettiTable, build_graph, edge_ideal,
+                        induced_subgraph, minimal_hitting_sets,
+                        reduced_homology_ranks, simplicial_complex)
 from edgeideals.bitsets import compress
 
 
 def edge_set(g):
     return {frozenset((u, v)) for u, v in g.edges()}
+
+
+def canonical_form_by_permutations(g):
+    """Least upper-triangular adjacency string over all n! relabellings, as
+    a number (first pair = highest bit), and the graph that realises it."""
+    edges = edge_set(g)
+    a = [[int(frozenset((u, v)) in edges) for v in range(g.n)]
+         for u in range(g.n)]
+    pairs = list(combinations(range(g.n), 2))
+    string = min(tuple(a[p[i]][p[j]] for i, j in pairs)
+                 for p in permutations(range(g.n)))
+    value = int("".join(map(str, string)) or "0", 2)
+    return value, build_graph(g.n, [e for e, bit in zip(pairs, string) if bit])
 
 
 def is_independent(g, vs):

@@ -123,6 +123,11 @@ def test_verify_empty_theorem_list_exits_2(capsys):
     assert "no checks selected" in capsys.readouterr().err
 
 
+def test_verify_jobs_below_one_exits_2(capsys):
+    assert main(["verify", "--max-n", "3", "--jobs", "0"]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["MAX_N", "SEED", "JOBS"])
 def test_bad_integer_env_default_is_a_verify_usage_error(name, monkeypatch,
                                                          capsys):

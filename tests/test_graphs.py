@@ -1,4 +1,9 @@
 import itertools
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -218,6 +223,54 @@ def test_canonical_form_is_isomorphism_invariant():
         h = type(c5)(5, tuple(adj))
         assert canonical_form(h) == base
     assert canonical_form(canonical_graph(c5)) == base
+
+
+def _relabelled(g, perm):
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_canonical_form_is_the_least_string_over_all_relabellings():
+    rng = random.Random(0)
+    subjects = [(g, 3) for n in range(7) for g in enumerate_graphs(n)]
+    cube = build_graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4)
+                           if u < u ^ b])
+    k44 = build_graph(8, [(i, j) for i in range(4) for j in range(4, 8)])
+    subjects += [(family(spec), 1)
+                 for spec in ("complete:8", "edgeless:8", "cycle:8")]
+    subjects += [(cube, 1), (k44, 1)]
+    for g, copies in subjects:
+        value, least = oracle.canonical_form_by_permutations(g)
+        for _ in range(copies):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = _relabelled(g, perm)
+            assert canonical_form(h) == value
+            assert canonical_graph(h) == least
+
+
+def test_enumeration_matches_the_networkx_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = {}
+    for h in nx.graph_atlas_g():
+        index = {v: i for i, v in enumerate(h)}
+        g = build_graph(len(index),
+                        [(index[u], index[v]) for u, v in h.edges()])
+        atlas.setdefault(g.n, []).append(canonical_form(g))
+    assert sorted(atlas) == list(range(8))
+    for n, forms in atlas.items():
+        ours = [canonical_form(g) for g in enumerate_graphs(n)]
+        assert len(forms) == len(ours)
+        assert set(forms) == set(ours)
+
+
+def test_import_does_not_load_numpy():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, edgeideals, edgeideals.cli; "
+            "print('numpy' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.stdout.strip() == "False"
 
 
 def test_enumeration_counts():

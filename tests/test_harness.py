@@ -32,6 +32,50 @@ def test_parallel_run_matches_serial():
         json.dumps(parallel, sort_keys=True)
 
 
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps serially."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return [func(item) for item in items]
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (4000, 8, [4]),     # 4 connected classes with at most 3 vertices
+    (3, 8, [3]),
+    (4000, 2, [2]),
+    (4, None, []),      # unknown CPU count: serial
+    (1, 8, []),
+])
+def test_verify_starts_at_most_cpus_and_subjects_workers(jobs, cpus, workers,
+                                                         monkeypatch):
+    import edgeideals.harness as harness
+
+    monkeypatch.setattr(harness.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    report = verify_theorems(max_n=3, with_families=False, jobs=jobs)
+    assert _RecordingPool.sizes == workers
+    assert json.dumps(report, sort_keys=True) == json.dumps(
+        verify_theorems(max_n=3, with_families=False), sort_keys=True)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_verify_rejects_fewer_than_one_job(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        verify_theorems(max_n=3, jobs=jobs)
+
+
 def test_unknown_check_is_rejected():
     with pytest.raises(ValueError):
         verify_theorems(max_n=2, checks=["no-such-check"])
