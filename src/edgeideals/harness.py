@@ -20,12 +20,13 @@ from .graphs import (Graph, build_graph, canonical_form, complement,
                      enumerate_graphs, family, is_chordal, recognize_d_tree,
                      validate_d_tree_certificate)
 from .complexes import independence_complex
-from .homology import GF2, FieldChoice, hochster_betti
+from .homology import (GF2, FieldChoice, _betti_from_pass, hochster_betti,
+                       restriction_homology)
 from .ideals import (betti_from_certificate, dual_ideal, edge_ideal,
                      linear_quotient_search, verify_dual_decomposition)
 from .invariants import compute_invariants
 from .limits import check, fits
-from .structure import (reducing_vertex, root_shedding_vertex, shellable,
+from .structure import (_reducing_vertex, root_shedding_vertex, shellable,
                         shelling_bruteforce, validate_shelling,
                         vertex_decomposable)
 
@@ -39,8 +40,14 @@ class GraphWorkup:
         self.expected_d = expected_d
 
     @cached_property
+    def homology(self) -> list[tuple[int, dict[int, int]]]:
+        """The edge ideal's restriction pass, shared by the Betti table and
+        the reducing-vertex check."""
+        return list(restriction_homology(edge_ideal(self.g), self.field))
+
+    @cached_property
     def betti(self):
-        return hochster_betti(edge_ideal(self.g), self.field)
+        return _betti_from_pass(self.homology, self.field)
 
     @cached_property
     def reg(self) -> int:
@@ -89,7 +96,7 @@ def _check_reg_le_path_packing(w: GraphWorkup):
 def _check_reducing_vertex(w: GraphWorkup):
     if w.shelling is None:
         return "skip", "independence complex is not shellable", {}
-    found = reducing_vertex(w.g, w.field)
+    found = _reducing_vertex(w.g, w.homology)
     if found is None:
         return "fail", "no vertex reduces the regularity", {"reg": w.reg}
     x, reg_g, reg_h = found
@@ -401,11 +408,11 @@ def analyze(g: Graph, field: FieldChoice = GF2) -> dict:
         report["chordal"] = is_chordal(g) is not None
 
     if fits("subset_homology", g.n):
-        table = hochster_betti(edge_ideal(g), field)
+        ideal = edge_ideal(g)
+        table = hochster_betti(ideal, field)
         report["betti"] = [list(t) for t in table.triples()]
         report["reg"] = table.reg()
         report["pd"] = table.pd()
-        ideal = edge_ideal(g)
         dual = dual_ideal(ideal)
         report["cover_ideal"] = [sorted(bits(m)) for m in dual.gens]
         if ideal.gens and fits("linear_quotients", len(ideal.gens)):

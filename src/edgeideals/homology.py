@@ -9,7 +9,7 @@ floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .betti import BettiTable
 from .bitsets import bits, submasks
@@ -178,19 +178,68 @@ def reduced_homology_ranks(c: SimplicialComplex, field: FieldChoice = GF2) -> di
 
 def restriction_homology(ideal: SquarefreeIdeal,
                          field: FieldChoice = GF2) -> Iterator[tuple[int, dict[int, int]]]:
-    """Yield (S, reduced homology ranks of the ideal's complex restricted to
-    S) for S = 0 and every non-face S, ascending; faces of that complex are
-    the sets containing no generator, and the faces of the restriction to S
-    are the faces inside S. A face S restricts to an acyclic full simplex."""
+    """Yield (S, {d: rank}) for every S, ascending, whose restriction of the
+    ideal's complex has nonzero reduced homology, with only the nonzero ranks
+    (equal tables are one shared dict, not to be mutated). Faces of that
+    complex are the sets containing no generator, and the faces of the
+    restriction to S are the faces inside S.
+
+    Two homotopy reductions skip most restrictions. If some vertex of S lies
+    in no generator inside S, the restriction is a cone (for an edge ideal:
+    G[S] has an isolated vertex). If S holds u != w with {u, w} a face and
+    no generator m inside S with u in m and (m - u) + w a face, the link of
+    w is a cone over u, so the restriction to S is homotopy equivalent to
+    the one to S - w (for an edge ideal: u, w non-adjacent and N(u) within S
+    inside N(w), Engstrom's fold lemma). Only the rest reach a rank kernel."""
     if ideal.is_unit:
         raise ValueError("Betti numbers of the unit quotient are undefined")
-    check("subset_homology", ideal.nvars)
+    n = ideal.nvars
+    check("subset_homology", n)
     gens = set(ideal.gens)
-    nonface = bytearray(1 << ideal.nvars)
-    for s in range(len(nonface)):
-        nonface[s] = s in gens or any(nonface[s ^ (1 << b)] for b in bits(s))
-        if nonface[s] or not s:
-            yield s, _ranks_from_faces([f for f in submasks(s) if not nonface[f]], field)
+    # covered[S]: the union of the generators inside S; S is a face iff 0
+    covered = [0] * (1 << n)
+    for s in range(1, len(covered)):
+        c = s if s in gens else 0
+        for b in bits(s):
+            c |= covered[s ^ (1 << b)]
+        covered[s] = c
+    # fold[u]: (w, generators that stop u from coning off the link of w)
+    fold: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    for u in range(n):
+        for w in range(n):
+            if w != u and not covered[(1 << u) | (1 << w)]:
+                bad = [m for m in ideal.gens
+                       if m >> u & 1 and not covered[m & ~(1 << u) | (1 << w)]]
+                fold[u].append((w, bad))
+    # found[S]: the nonzero ranks of S, for the folds of later subsets; one
+    # dict per distinct table, since a pass repeats a few tables many times
+    found: list[dict[int, int] | None] = [None] * len(covered)
+    tables: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+    for s in range(len(covered)):
+        if covered[s] != s:
+            continue
+        w = next((w for u in bits(s) for w, bad in fold[u]
+                  if s >> w & 1 and all(m & ~s for m in bad)), None)
+        if w is None:
+            ranks = _ranks_from_faces([f for f in submasks(s) if not covered[f]], field)
+            nonzero = tuple((d, r) for d, r in ranks.items() if r)
+            ranks = tables.setdefault(nonzero, dict(nonzero))
+        else:
+            ranks = found[s ^ (1 << w)]
+        if ranks:
+            found[s] = ranks
+            yield s, ranks
+
+
+def _betti_from_pass(homology: Iterable[tuple[int, dict[int, int]]],
+                field: FieldChoice) -> BettiTable:
+    entries: dict[tuple[int, int], int] = {}
+    for s, ranks in homology:
+        j = s.bit_count()
+        for d, r in ranks.items():
+            key = (j - 1 - d, j)
+            entries[key] = entries.get(key, 0) + r
+    return BettiTable(entries, field.tag)
 
 
 def hochster_betti(ideal: SquarefreeIdeal, field: FieldChoice = GF2) -> BettiTable:
@@ -200,14 +249,7 @@ def hochster_betti(ideal: SquarefreeIdeal, field: FieldChoice = GF2) -> BettiTab
 
         beta_{i,j}(R/I) = sum over |S| = j of rank Htilde_{j-i-1}(complex|_S)
     """
-    entries: dict[tuple[int, int], int] = {}
-    for s, ranks in restriction_homology(ideal, field):
-        j = s.bit_count()
-        for d, r in ranks.items():
-            if r:
-                key = (j - 1 - d, j)
-                entries[key] = entries.get(key, 0) + r
-    return BettiTable(entries, field.tag)
+    return _betti_from_pass(restriction_homology(ideal, field), field)
 
 
 def reg_pd(g: Graph, field: FieldChoice = GF2) -> tuple[int, int]:

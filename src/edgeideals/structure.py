@@ -5,7 +5,7 @@ of the dual cover ideal, or by direct backtracking over facet orders)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 from .bitsets import bits
 from .complexes import SimplicialComplex, independence_complex, minimal_nonfaces
@@ -194,13 +194,19 @@ def shelling_bruteforce(c: SimplicialComplex | Graph) -> ShellingCertificate | N
 
 def reducing_vertex(g: Graph, field: FieldChoice = GF2) -> tuple[int, int, int] | None:
     """Lowest vertex x with reg(R/I(g)) <= reg(R/I(g - N[x])) + 1, returned
-    as (x, reg of g, reg of the reduced graph); None if no vertex works.
-    Ind(g - N[x]) is Ind(g) restricted to V - N[x], so one restriction pass
-    serves all: nonzero Htilde_d on S counts in row d + 1 of every W >= S."""
+    as (x, reg of g, reg of the reduced graph); None if no vertex works."""
+    return _reducing_vertex(g, restriction_homology(edge_ideal(g), field))
+
+
+def _reducing_vertex(g: Graph, homology: Iterable[tuple[int, dict[int, int]]]
+                     ) -> tuple[int, int, int] | None:
+    """reducing_vertex read off the restriction pass of g's edge ideal.
+    Ind(g - N[x]) is Ind(g) restricted to V - N[x], so one pass serves all:
+    nonzero Htilde_d on S counts in row d + 1 of every W >= S."""
     kept = [g.full] + [g.full & ~(1 << x) & ~g.adj[x] for x in range(g.n)]
     reg = [0] * len(kept)
-    for s, ranks in restriction_homology(edge_ideal(g), field):
-        row = max((d + 1 for d, r in ranks.items() if r), default=0)
+    for s, ranks in homology:
+        row = max(ranks) + 1
         for k, sub in enumerate(kept):
             if not s & ~sub:
                 reg[k] = max(reg[k], row)

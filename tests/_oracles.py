@@ -8,7 +8,10 @@ The exception is at the end: the per-subset Hochster computation, which
 rebuilds each restricted complex from Berge transversals, and the
 reducing-vertex search that reruns it on every G - N[x]. They reuse the
 package's transversal, complex and rank code, but none of its restriction
-pass, and serve as the reference for that pass.
+pass, and serve as the reference for that pass. Last is the restriction
+pass without homotopy reductions, which runs the rank kernel on every
+non-face restriction; it is the reference for the pass that skips cones
+and folds.
 """
 
 from itertools import combinations, permutations
@@ -16,7 +19,9 @@ from itertools import combinations, permutations
 from edgeideals import (BettiTable, build_graph, edge_ideal,
                         induced_subgraph, minimal_hitting_sets,
                         reduced_homology_ranks, simplicial_complex)
-from edgeideals.bitsets import compress
+from edgeideals.bitsets import bits, compress, submasks
+from edgeideals.homology import _ranks_from_faces
+from edgeideals.limits import check
 
 
 def edge_set(g):
@@ -297,3 +302,19 @@ def reducing_vertex_by_subgraphs(g, field):
         if reg_g <= reg_h + 1:
             return x, reg_g, reg_h
     return None
+
+
+def restriction_homology_unreduced(ideal, field):
+    """Yield (S, reduced homology ranks of the restriction to S) for S = 0
+    and every non-face S, ascending, each from the rank kernel; faces are
+    the sets containing no generator. A face S restricts to an acyclic full
+    simplex."""
+    if ideal.is_unit:
+        raise ValueError("Betti numbers of the unit quotient are undefined")
+    check("subset_homology", ideal.nvars)
+    gens = set(ideal.gens)
+    nonface = bytearray(1 << ideal.nvars)
+    for s in range(len(nonface)):
+        nonface[s] = s in gens or any(nonface[s ^ (1 << b)] for b in bits(s))
+        if nonface[s] or not s:
+            yield s, _ranks_from_faces([f for f in submasks(s) if not nonface[f]], field)

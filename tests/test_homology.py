@@ -1,14 +1,16 @@
+import random
 from itertools import combinations
 from math import comb
 
 import pytest
 
 import _oracles as oracle
-from edgeideals import (GF2, GF3, Q, dual_ideal, edge_ideal, enumerate_graphs,
-                        face_counts, family, hochster_betti,
+from edgeideals import (GF2, GF3, Q, complement, dual_ideal, edge_ideal,
+                        enumerate_graphs, face_counts, family, hochster_betti,
                         independence_complex, minimal_nonfaces, parse_field,
                         reduced_homology_ranks, reg_pd, simplicial_complex,
                         squarefree_ideal)
+from edgeideals import homology
 from edgeideals.bitsets import mask_of, submasks
 
 
@@ -175,3 +177,59 @@ def test_hochster_matches_transversal_oracle():
                     got = hochster_betti(ideal, field)
                     assert got.entries == expect.entries, (g, ideal, field)
                     assert got.field_tag == expect.field_tag
+
+
+def _nonzero_entries(pass_):
+    out = {}
+    for s, ranks in pass_:
+        nonzero = {d: r for d, r in ranks.items() if r}
+        if nonzero:
+            out[s] = nonzero
+    return out
+
+
+def _random_ideals(count, seed):
+    # mixed generator degrees, some of them 1, so that the fold rule is not
+    # the graph condition
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        yield squarefree_ideal(n, [
+            mask_of(rng.sample(range(n), min(n, rng.choice((1, 2, 2, 3, 3, 4)))))
+            for _ in range(rng.randint(1, 10))])
+
+
+def test_restriction_pass_matches_unreduced_oracle():
+    rp2 = minimal_nonfaces(
+        simplicial_complex(6, [mask_of(t) for t in _PROJECTIVE_PLANE]))
+    ideals = [rp2, squarefree_ideal(7, rp2.gens), *_random_ideals(60, 5)]
+    for ideal in ideals:
+        for field in (GF2, GF3, Q):
+            expect = _nonzero_entries(
+                oracle.restriction_homology_unreduced(ideal, field))
+            got = list(homology.restriction_homology(ideal, field))
+            assert dict(got) == expect, (ideal, field)
+            assert [s for s, _ in got] == sorted(expect)
+    # the 12-vertex graphs that analyze is benchmarked on
+    for spec in ("path:11", "cycle:12", "pendant_cycle:5", "capped_cycle:5",
+                 "complete:12", "dtree:1,10,0", "dtree:2,9,0", "dtree:3,8,0",
+                 "co-dtree:1,10,0", "co-dtree:2,9,0", "co-dtree:3,8,0"):
+        g = family(spec.removeprefix("co-"))
+        ideal = edge_ideal(complement(g) if spec.startswith("co-") else g)
+        expect = _nonzero_entries(oracle.restriction_homology_unreduced(ideal, GF2))
+        assert dict(homology.restriction_homology(ideal, GF2)) == expect, spec
+
+
+def test_restriction_pass_runs_the_rank_kernel_on_few_subsets(monkeypatch):
+    calls = []
+    kernel = homology._ranks_from_faces
+
+    def counting(faces, field):
+        calls.append(1)
+        return kernel(faces, field)
+
+    monkeypatch.setattr(homology, "_ranks_from_faces", counting)
+    table = hochster_betti(edge_ideal(family("path:11")))
+    assert table.reg() == 4
+    # 4096 subsets; all but a few are cones or fold onto a smaller subset
+    assert len(calls) < 200
