@@ -1,14 +1,17 @@
 """Exact simplicial homology ranks and the subset-homology (Hochster)
 computation of graded Betti numbers, over GF(2), GF(p), or the rationals.
 
-GF(2) ranks use bitpacked Gaussian elimination; rational ranks use Bareiss
-fraction-free elimination on arbitrary-precision integers, so there is no
-floating point anywhere.
+GF(2) ranks use bitpacked Gaussian elimination. GF(p) and rational ranks
+use one sparse elimination loop: over GF(p) every nonzero entry is a pivot;
+over Q the entries are integers and only +-1 is a pivot, and the rows left
+with no unit entry go to Bareiss fraction-free elimination on
+arbitrary-precision integers. There is no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
 from .betti import BettiTable
@@ -21,8 +24,19 @@ from .limits import check
 
 @dataclass(frozen=True)
 class FieldChoice:
+    """A coefficient field: GF(2) ("gf2"), GF(p) for a prime p below 2^31
+    ("gfp"), or the rationals ("q"). Anything else raises ValueError."""
     kind: str  # "gf2" | "gfp" | "q"
     p: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("gf2", "gfp", "q"):
+            raise ValueError(f"unknown field kind {self.kind!r}")
+        if self.kind != "gfp":
+            if self.p is not None:
+                raise ValueError(f"field {self.kind!r} takes no characteristic, got {self.p!r}")
+        elif not (isinstance(self.p, int) and 2 <= self.p < 1 << 31 and _is_prime(self.p)):
+            raise ValueError(f"field characteristic must be a prime below 2^31, got {self.p!r}")
 
     @property
     def tag(self) -> str:
@@ -31,20 +45,18 @@ class FieldChoice:
         return self.kind
 
 
-GF2 = FieldChoice("gf2")
-GF3 = FieldChoice("gfp", 3)
-Q = FieldChoice("q")
-
-
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
     d = 2
     while d * d <= p:
         if p % d == 0:
             return False
         d += 1
     return True
+
+
+GF2 = FieldChoice("gf2")
+GF3 = FieldChoice("gfp", 3)
+Q = FieldChoice("q")
 
 
 def parse_field(text: str) -> FieldChoice:
@@ -56,11 +68,7 @@ def parse_field(text: str) -> FieldChoice:
             p = int(t[2:])
         except ValueError:
             raise ValueError(f"bad field {text!r}") from None
-        if p == 2:
-            return GF2
-        if not _is_prime(p) or p >= 1 << 31:
-            raise ValueError(f"field characteristic must be a prime below 2^31, got {p}")
-        return FieldChoice("gfp", p)
+        return GF2 if p == 2 else FieldChoice("gfp", p)
     raise ValueError(f"bad field {text!r}")
 
 
@@ -75,21 +83,6 @@ def _rank_gf2(vectors: list[int]) -> int:
                 lead[top] = v
                 break
     return len(lead)
-
-
-def _rank_gfp(rows: list[list[int]], p: int) -> int:
-    pivots: list[tuple[int, list[int]]] = []
-    for row in rows:
-        row = [x % p for x in row]
-        for col, prow in pivots:
-            f = row[col]
-            if f:
-                row = [(a - f * b) % p for a, b in zip(row, prow)]
-        piv = next((idx for idx, x in enumerate(row) if x), None)
-        if piv is not None:
-            inv = pow(row[piv], p - 2, p)
-            pivots.append((piv, [(x * inv) % p for x in row]))
-    return len(pivots)
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:
@@ -126,17 +119,68 @@ def _boundary_rank(prev_faces: list[int], cur_faces: list[int], field: FieldChoi
                 v |= 1 << index[f ^ (1 << b)]
             vecs.append(v)
         return _rank_gf2(vecs)
-    rows = []
-    for f in cur_faces:
-        row = [0] * len(prev_faces)
-        for k, b in enumerate(bits(f)):
-            row[index[f ^ (1 << b)]] = 1 if k % 2 == 0 else -1
-        rows.append(row)
-    if field.kind == "gfp":
-        return _rank_gfp(rows, field.p)
-    if field.kind == "q":
-        return _rank_bareiss(rows)
-    raise ValueError(f"unknown field kind {field.kind!r}")
+    # the face f loses its k-th smallest vertex with sign (-1)^k
+    minus = field.p - 1 if field.p else -1
+    return _rank_sparse([{index[f ^ (1 << b)]: minus if k % 2 else 1
+                          for k, b in enumerate(bits(f))} for f in cur_faces], field.p)
+
+
+def _rank_sparse(rows: list[dict[int, int]], p: int | None) -> int:
+    """Rank of the rows {column: entry}, which it consumes: over GF(p) with
+    entries in 0..p-1, where every nonzero entry is a unit, or over Q (p is
+    None) with integer entries, pivoting only on +-1. Adding integer
+    multiples of a row with a unit pivot is unimodular, so it keeps the rank
+    over every field."""
+    # pivots[order[c]]: (c, the rest of the row that pivots on column c,
+    # scaled to a 1 there); it is zero on every column that pivoted before it
+    pivots: list[tuple[int, dict[int, int]]] = []
+    order: dict[int, int] = {}
+    grew = True
+    while rows and grew:
+        grew = False
+        left = []
+        for row in rows:
+            _clear_pivot_columns(row, pivots, order, p)
+            c = next((c for c, x in row.items() if p or x in (1, -1)), None)
+            if c is None:
+                if row:
+                    left.append(row)
+                continue
+            scale = pow(row.pop(c), -1, p) if p else row.pop(c)
+            order[c] = len(pivots)
+            pivots.append((c, {c2: x * scale % p if p else x * scale
+                               for c2, x in row.items()}))
+            grew = True
+        rows = left
+    # rows with no unit entry, cleared by a last round that made no pivot:
+    # zero on every pivot column, so their rank adds to the pivot count
+    if not rows:
+        return len(pivots)
+    cols = sorted({c for row in rows for c in row})
+    return len(pivots) + _rank_bareiss([[row.get(c, 0) for c in cols] for row in rows])
+
+
+def _clear_pivot_columns(row: dict[int, int], pivots: list[tuple[int, dict[int, int]]],
+                         order: dict[int, int], p: int | None) -> None:
+    """Subtract from row its entry times each pivot row, in place, until it is
+    zero on every pivot column. Pivots are taken in the order they were made,
+    since a pivot row only reaches columns that pivoted after it."""
+    heap = [order[c] for c in row if c in order]
+    heapify(heap)
+    while heap:
+        c, rest = pivots[heappop(heap)]
+        x = row.pop(c, 0)
+        if not x:
+            continue
+        for c2, v in rest.items():
+            y = row.get(c2, 0)
+            z = (y - x * v) % p if p else y - x * v
+            if z:
+                row[c2] = z
+                if not y and c2 in order:
+                    heappush(heap, order[c2])
+            elif y:
+                del row[c2]
 
 
 def face_counts(c: SimplicialComplex) -> dict[int, int]:

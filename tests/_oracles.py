@@ -7,20 +7,19 @@ Only viable at very small sizes.
 The exception is at the end: the per-subset Hochster computation, which
 rebuilds each restricted complex from Berge transversals, and the
 reducing-vertex search that reruns it on every G - N[x]. They reuse the
-package's transversal, complex and rank code, but none of its restriction
-pass, and serve as the reference for that pass. Last is the restriction
-pass without homotopy reductions, which runs the rank kernel on every
-non-face restriction; it is the reference for the pass that skips cones
-and folds.
+package's transversal and complex code, but none of its restriction pass,
+and serve as the reference for that pass. Last is the restriction pass
+without homotopy reductions, which computes every non-face restriction; it
+is the reference for the pass that skips cones and folds. Both take their
+ranks from the dense kernels here, not from the package's sparse ones.
 """
 
 from itertools import combinations, permutations
 
 from edgeideals import (BettiTable, build_graph, edge_ideal,
                         induced_subgraph, minimal_hitting_sets,
-                        reduced_homology_ranks, simplicial_complex)
+                        simplicial_complex)
 from edgeideals.bitsets import bits, compress, submasks
-from edgeideals.homology import _ranks_from_faces
 from edgeideals.limits import check
 
 
@@ -269,6 +268,91 @@ def brute_whisker(g):
     return 0
 
 
+def ranks_from_faces(faces, field):
+    """Reduced homology ranks {d: rank}, d = -1..dim, of the complex whose
+    faces (bitmasks, the empty face included) are given, from dense boundary
+    matrices: xor elimination over GF(2), Gaussian elimination mod p over GF(p),
+    Bareiss fraction-free elimination over Q."""
+    by_dim = {}
+    for f in faces:
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    top = max(by_dim)
+    rank = {}
+    for d in range(top + 1):
+        index = {f: i for i, f in enumerate(by_dim[d - 1])}
+        # the i-th facet of f, dropping its i-th smallest vertex, has sign (-1)^i
+        facets = [[index[f ^ v] for v in _singletons(f)] for f in by_dim[d]]
+        if field.kind == "gf2":
+            rank[d] = _rank_gf2_xor([sum(1 << j for j in cols) for cols in facets])
+            continue
+        rows = []
+        for cols in facets:
+            row = [0] * len(index)
+            for i, j in enumerate(cols):
+                row[j] = (-1) ** i
+            rows.append(row)
+        rank[d] = rank_gfp(rows, field.p) if field.kind == "gfp" else rank_bareiss(rows)
+    return {d: len(by_dim[d]) - rank.get(d, 0) - rank.get(d + 1, 0)
+            for d in range(-1, top + 1)}
+
+
+def _singletons(f):
+    """The one-bit masks inside f, ascending."""
+    while f:
+        low = f & -f
+        yield low
+        f ^= low
+
+
+def _rank_gf2_xor(vectors):
+    low = {}  # lowest set bit -> the basis vector that has it lowest
+    for v in vectors:
+        while v:
+            b = v & -v
+            if b not in low:
+                low[b] = v
+                break
+            v ^= low[b]
+    return len(low)
+
+
+def rank_gfp(rows, p):
+    pivots = []
+    for row in rows:
+        row = [x % p for x in row]
+        for col, prow in pivots:
+            f = row[col]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, prow)]
+        piv = next((idx for idx, x in enumerate(row) if x), None)
+        if piv is not None:
+            inv = pow(row[piv], p - 2, p)
+            pivots.append((piv, [(x * inv) % p for x in row]))
+    return len(pivots)
+
+
+def rank_bareiss(rows):
+    m = [row[:] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
 def hochster_betti_by_transversals(ideal, field):
     """Betti table of R/I from a restricted complex built afresh for every
     variable subset S: compress the generators inside S, take their minimal
@@ -284,8 +368,9 @@ def hochster_betti_by_transversals(ideal, field):
         rel = [compress(g, s) for g in inside]
         full = (1 << j) - 1
         facets = [full & ~h for h in minimal_hitting_sets(rel)]
-        restricted = simplicial_complex(j, facets)
-        for d, r in reduced_homology_ranks(restricted, field).items():
+        faces = [sum(1 << v for v in face)
+                 for face in complex_faces(simplicial_complex(j, facets))]
+        for d, r in ranks_from_faces(faces, field).items():
             if r:
                 key = (j - 1 - d, j)
                 entries[key] = entries.get(key, 0) + r
@@ -317,4 +402,4 @@ def restriction_homology_unreduced(ideal, field):
     for s in range(len(nonface)):
         nonface[s] = s in gens or any(nonface[s ^ (1 << b)] for b in bits(s))
         if nonface[s] or not s:
-            yield s, _ranks_from_faces([f for f in submasks(s) if not nonface[f]], field)
+            yield s, ranks_from_faces([f for f in submasks(s) if not nonface[f]], field)

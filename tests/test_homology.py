@@ -1,15 +1,16 @@
 import random
+import signal
 from itertools import combinations
 from math import comb
 
 import pytest
 
 import _oracles as oracle
-from edgeideals import (GF2, GF3, Q, complement, dual_ideal, edge_ideal,
-                        enumerate_graphs, face_counts, family, hochster_betti,
-                        independence_complex, minimal_nonfaces, parse_field,
-                        reduced_homology_ranks, reg_pd, simplicial_complex,
-                        squarefree_ideal)
+from edgeideals import (GF2, GF3, Q, FieldChoice, build_graph, complement,
+                        dual_ideal, edge_ideal, enumerate_graphs, face_counts,
+                        family, hochster_betti, independence_complex,
+                        minimal_nonfaces, parse_field, reduced_homology_ranks,
+                        reg_pd, simplicial_complex, squarefree_ideal)
 from edgeideals import homology
 from edgeideals.bitsets import mask_of, submasks
 
@@ -144,9 +145,23 @@ def test_parse_field():
     assert parse_field(" q ") == Q
     assert parse_field("rationals") == Q
     assert parse_field("gf7").tag == "gf7"
-    for bad in ("gf4", "gf1", "gf0", "z5", "gfx", "gf2147483659"):
+    assert parse_field("gf2147483647").tag == "gf2147483647"
+    # 2^61 - 1 is prime: refused by its size, before any trial division
+    for bad in ("gf4", "gf1", "gf0", "gf-3", "z5", "gfx", "gf2147483659",
+                "gf2305843009213693951"):
         with pytest.raises(ValueError):
             parse_field(bad)
+
+
+def test_field_choice_rejects_non_fields():
+    assert FieldChoice("gfp", 5).tag == "gf5"
+    assert FieldChoice("gfp", 2147483647).tag == "gf2147483647"
+    bad = [("gfp", 4), ("gfp", None), ("gfp", 1), ("gfp", 0), ("gfp", -3),
+           ("gfp", 3.0), ("gfp", "3"), ("gfp", 2147483659), ("gfp", 2 ** 61 - 1),
+           ("gf2", 2), ("q", 3), ("gf3", None), ("GF2", None), ("z", None)]
+    for kind, p in bad:
+        with pytest.raises(ValueError):
+            FieldChoice(kind, p)
 
 
 def test_reg_pd_frozen():
@@ -233,3 +248,131 @@ def test_restriction_pass_runs_the_rank_kernel_on_few_subsets(monkeypatch):
     assert table.reg() == 4
     # 4096 subsets; all but a few are cones or fold onto a smaller subset
     assert len(calls) < 200
+
+
+_GF5 = FieldChoice("gfp", 5)
+_GF1009 = FieldChoice("gfp", 1009)
+
+
+def _stanley_reisner_faces(ideal):
+    return [f for f in range(1 << ideal.nvars)
+            if not any(m & f == m for m in ideal.gens)]
+
+
+def _kernel_inputs():
+    rp2 = minimal_nonfaces(
+        simplicial_complex(6, [mask_of(t) for t in _PROJECTIVE_PLANE]))
+    for ideal in (rp2, squarefree_ideal(7, rp2.gens), *_random_ideals(60, 5)):
+        if not ideal.is_unit:
+            yield _stanley_reisner_faces(ideal)
+
+
+def test_sparse_kernel_matches_dense_oracle():
+    # GF(p) for p = 2 too: the sparse loop mod 2 against xor elimination
+    for faces in _kernel_inputs():
+        for field in (GF3, _GF5, _GF1009, Q, FieldChoice("gfp", 2)):
+            assert (homology._ranks_from_faces(faces, field)
+                    == oracle.ranks_from_faces(faces, field)), (faces, field)
+
+
+def test_sparse_rank_matches_dense_oracle_on_integer_matrices():
+    # entries other than +-1 leave rows without a unit pivot, which must be
+    # cleared again against the pivots found after them
+    rng = random.Random(11)
+    for _ in range(400):
+        ncols = rng.randint(1, 8)
+        dense = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3)) for _ in range(ncols)]
+                 for _ in range(rng.randint(1, 8))]
+        for p in (None, 2, 3, 5):
+            reduced = [[x % p if p else x for x in row] for row in dense]
+            expect = (oracle.rank_gfp(reduced, p) if p
+                      else oracle.rank_bareiss(reduced))
+            rows = [{c: x for c, x in enumerate(row) if x} for row in reduced]
+            assert homology._rank_sparse(rows, p) == expect, (dense, p)
+
+
+def test_rational_kernel_reaches_bareiss_only_on_a_residual(monkeypatch):
+    calls = []
+    bareiss = homology._rank_bareiss
+
+    def counting(rows):
+        calls.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(homology, "_rank_bareiss", counting)
+    rp2 = simplicial_complex(6, [mask_of(t) for t in _PROJECTIVE_PLANE])
+    # H_1(RP^2; Z) = Z/2: the boundary of the triangles has an invariant
+    # factor 2, which no sequence of unit pivots can clear
+    assert reduced_homology_ranks(rp2, Q) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert calls and all(calls)
+    calls.clear()
+    for faces in _kernel_inputs():
+        for field in (GF3, _GF5, _GF1009):
+            homology._ranks_from_faces(faces, field)
+    assert calls == []
+
+
+def test_twelve_variable_cover_ideals_within_budget():
+    # spec -> (reg, pd) of the cover ideal's quotient, reg of the edge
+    # ideal's; the same over every field here
+    frozen = {"cycle:12": ((7, 5), 4), "dtree:2,9,0": ((9, 4), 3)}
+
+    def give_up(signum, frame):
+        raise TimeoutError("12-variable cover ideals took more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        tables = {}
+        for spec in frozen:
+            edge = edge_ideal(family(spec))
+            cover = dual_ideal(edge)
+            for field in (GF2, GF3, Q):
+                tables[spec, field.tag] = (hochster_betti(cover, field),
+                                           hochster_betti(edge, field))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for (spec, tag), (cover, edge) in tables.items():
+        (reg, pd), edge_reg = frozen[spec]
+        assert (cover.reg(), cover.pd()) == (reg, pd), (spec, tag)
+        assert edge.reg() == edge_reg, (spec, tag)
+        # Terai: pd of the cover ideal is reg(R/I) + 1
+        assert cover.pd() == edge.reg() + 1, (spec, tag)
+
+
+def _subdivide(triangles, edge, v):
+    """Put the new vertex v on the edge {a, b}: each triangle {a, b, c}
+    splits into {a, v, c} and {v, b, c}."""
+    a, b = edge
+    out = []
+    for t in triangles:
+        if a in t and b in t:
+            (c,) = set(t) - {a, b}
+            out += [tuple(sorted((a, v, c))), tuple(sorted((v, b, c)))]
+        else:
+            out.append(t)
+    return out
+
+
+def test_twelve_vertex_edge_ideal_betti_table_depends_on_characteristic():
+    triangles = _PROJECTIVE_PLANE
+    for v, edge in enumerate([(0, 1), (0, 2), (0, 3), (2, 4), (2, 3), (3, 5)], 6):
+        triangles = _subdivide(triangles, edge, v)
+    assert len(triangles) == 22
+    skeleton = build_graph(12, {e for t in triangles for e in combinations(t, 2)})
+    g = complement(skeleton)
+    assert g.edge_count() == 33
+    # flag: the triangulation is the clique complex of its 1-skeleton, so
+    # it is the independence complex of g
+    assert sorted(independence_complex(g).facets) == sorted(mask_of(t) for t in triangles)
+    ideal = edge_ideal(g)
+    two = hochster_betti(ideal, GF2)
+    assert (two.reg(), two.pd()) == (3, 10)
+    assert two.entries[(9, 12)] == two.entries[(10, 12)] == 1
+    for field in (GF3, Q):
+        table = hochster_betti(ideal, field)
+        assert (table.reg(), table.pd()) == (2, 9)
+        # the extra GF(2) entries are the top homology of the whole plane
+        assert table.entries == {k: b for k, b in two.entries.items()
+                                 if k not in ((9, 12), (10, 12))}
