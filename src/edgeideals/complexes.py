@@ -104,6 +104,12 @@ def minimal_nonfaces(c: SimplicialComplex) -> SquarefreeIdeal:
     return squarefree_ideal(c.ground, minimal_hitting_sets(compl))
 
 
+def _facet_complements(c: SimplicialComplex) -> SquarefreeIdeal:
+    """Alexander dual of the Stanley-Reisner ideal: the facet complements
+    (for Ind(G), the cover ideal). Void complex -> zero ideal."""
+    return squarefree_ideal(c.ground, (c.full & ~f for f in c.effective_facets()))
+
+
 def complex_from_ideal(ideal: SquarefreeIdeal) -> SimplicialComplex:
     """Inverse dictionary: faces are the subsets containing no generator.
     The unit ideal maps to the void complex (not an error), the zero ideal

@@ -263,16 +263,16 @@ def _random_d_tree(d: int, steps: int, seed: int) -> Graph:
     n = d + 1 + steps
     rng = random.Random(seed)
     edges = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
-    g = build_graph(n, edges)  # pads isolated vertices d+1..n-1
-    adj = list(g.adj)
+    adj = list(build_graph(n, edges).adj)  # pads isolated vertices d+1..n-1
+    # every d-clique so far, sorted: K_{d+1}'s, then K - u + v per glued v
+    cliques = list(itertools.combinations(range(d + 1), d))
     for v in range(d + 1, n):
-        present = list(range(v))
-        cliques = [c for c in itertools.combinations(present, d)
-                   if _is_clique(Graph(n, tuple(adj)), mask_of(c))]
         target = rng.choice(cliques)
         for u in target:
             adj[v] |= 1 << u
             adj[u] |= 1 << v
+        cliques += [tuple(w for w in target if w != u) + (v,) for u in target]
+        cliques.sort()
     return Graph(n, tuple(adj))
 
 

@@ -19,10 +19,10 @@ from .bitsets import bits
 from .graphs import (Graph, build_graph, canonical_form, complement,
                      enumerate_graphs, family, is_chordal, recognize_d_tree,
                      validate_d_tree_certificate)
-from .complexes import independence_complex
+from .complexes import _facet_complements, independence_complex
 from .homology import (GF2, FieldChoice, _betti_from_pass, hochster_betti,
                        restriction_homology)
-from .ideals import (betti_from_certificate, dual_ideal, edge_ideal,
+from .ideals import (betti_from_certificate, edge_ideal,
                      linear_quotient_search, verify_dual_decomposition)
 from .invariants import compute_invariants
 from .limits import check, fits
@@ -32,7 +32,8 @@ from .structure import (_reducing_vertex, root_shedding_vertex, shellable,
 
 
 class GraphWorkup:
-    """Lazily computed per-graph facts shared by all checks."""
+    """Lazily computed per-graph facts, each derived once and shared by the
+    checks of `verify` and the sections of `analyze`."""
 
     def __init__(self, g: Graph, field: FieldChoice, expected_d: int | None = None):
         self.g = g
@@ -40,10 +41,31 @@ class GraphWorkup:
         self.expected_d = expected_d
 
     @cached_property
+    def canonical(self) -> int:
+        return canonical_form(self.g)
+
+    @cached_property
+    def chordal(self) -> bool:
+        return is_chordal(self.g) is not None
+
+    @cached_property
+    def ideal(self):
+        return edge_ideal(self.g)
+
+    @cached_property
+    def complex(self):
+        return independence_complex(self.g)
+
+    @cached_property
+    def cover(self):
+        """The cover ideal: the complements of Ind(G)'s facets."""
+        return _facet_complements(self.complex)
+
+    @cached_property
     def homology(self) -> list[tuple[int, dict[int, int]]]:
         """The edge ideal's restriction pass, shared by the Betti table and
         the reducing-vertex check."""
-        return list(restriction_homology(edge_ideal(self.g), self.field))
+        return list(restriction_homology(self.ideal, self.field))
 
     @cached_property
     def betti(self):
@@ -67,11 +89,12 @@ class GraphWorkup:
 
     @cached_property
     def shelling(self):
-        return shellable(self.g)
+        return shellable(self.complex)
 
     @cached_property
-    def complement_graph(self) -> Graph:
-        return complement(self.g)
+    def edge_quotients(self):
+        """A degree-monotone linear-quotient order of the edge ideal."""
+        return linear_quotient_search(self.ideal, degree_monotone=True)
 
     @cached_property
     def dtree(self):
@@ -79,7 +102,7 @@ class GraphWorkup:
 
     @cached_property
     def complement_dtree(self):
-        return recognize_d_tree(self.complement_graph)
+        return recognize_d_tree(complement(self.g))
 
 
 def _verdict(ok: bool) -> str:
@@ -153,20 +176,19 @@ def _check_dtree_pd_maxdeg(w: GraphWorkup):
     if g.edge_count() == 0:
         # zero ideal: nothing to order, pd(R/I) = 0 = max degree
         return _verdict(ok), "", data
-    ideal = edge_ideal(g)
-    lq = linear_quotient_search(ideal, degree_monotone=True)
+    lq = w.edge_quotients
     data["linear_quotients"] = lq is not None
     if lq is None:
         return "fail", "edge ideal admits no linear-quotient order", data
     table = ideal_table_to_quotient(
-        betti_from_certificate(lq, [m.bit_count() for m in ideal.gens]))
+        betti_from_certificate(lq, [m.bit_count() for m in w.ideal.gens]))
     data["pd_quotients"] = table.pd()
     ok = ok and table.pd() == maxdeg
     return _verdict(ok), "", data
 
 
 def _check_shelling_quotients(w: GraphWorkup):
-    c = independence_complex(w.g)
+    c = w.complex
     if not fits("shelling_bruteforce", len(c.effective_facets())):
         return "skip", "too many facets for the backtracking oracle", {}
     direct = shelling_bruteforce(c)
@@ -183,8 +205,7 @@ def _check_shelling_quotients(w: GraphWorkup):
 def _check_dual_pd_reg(w: GraphWorkup):
     if w.g.edge_count() == 0:
         return "skip", "no edges", {}
-    dual = dual_ideal(edge_ideal(w.g))
-    pd_dual = hochster_betti(dual, w.field).pd() - 1
+    pd_dual = hochster_betti(w.cover, w.field).pd() - 1
     data = {"reg": w.reg, "dual_ideal_pd": pd_dual}
     return _verdict(pd_dual == w.reg), "", data
 
@@ -309,7 +330,7 @@ def _run_payload(payload) -> list[dict]:
     if spec is not None:
         subject["family"] = spec
     if fits("canonical", n):
-        subject["canonical"] = canonical_form(g)
+        subject["canonical"] = w.canonical
     out = []
     for cid in checks:
         status, reason, data = CHECKS[cid][0](w)
@@ -335,6 +356,8 @@ def verify_theorems(max_n: int = 6, connected_only: bool = True,
         raise ValueError("no checks selected")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if max_n < 0:
+        raise ValueError("max_n must be non-negative")
     check("canonical", max_n)
 
     tasks = []
@@ -379,7 +402,9 @@ def verify_theorems(max_n: int = 6, connected_only: bool = True,
 
 
 def analyze(g: Graph, field: FieldChoice = GF2) -> dict:
-    """Full single-graph report: invariants, Betti table, certificates."""
+    """Full single-graph report: invariants, Betti table, certificates,
+    read off one GraphWorkup; a section past its cap is left out."""
+    w = GraphWorkup(g, field)
     report: dict = {
         "vertices": g.n,
         "edges": [list(e) for e in g.edges()],
@@ -387,10 +412,10 @@ def analyze(g: Graph, field: FieldChoice = GF2) -> dict:
         "field": field.tag,
     }
     if fits("canonical", g.n):
-        report["canonical"] = canonical_form(g)
+        report["canonical"] = w.canonical
 
     if fits("invariants", g.n):
-        inv = compute_invariants(g)
+        inv = w.inv
         report["invariants"] = {
             "matching": inv.matching,
             "matching_witness": [list(e) for e in inv.matching_witness],
@@ -401,44 +426,34 @@ def analyze(g: Graph, field: FieldChoice = GF2) -> dict:
             "whisker_number": inv.whisker_number,
             "whisker_witness": [list(p) for p in inv.whisker_witness],
         }
-        report["chordal"] = inv.chordal
         report["complement_chordal"] = inv.complement_chordal
         report["complement_triangle_free"] = inv.complement_triangle_free
-    else:
-        report["chordal"] = is_chordal(g) is not None
+    report["chordal"] = w.chordal
 
     if fits("subset_homology", g.n):
-        ideal = edge_ideal(g)
-        table = hochster_betti(ideal, field)
-        report["betti"] = [list(t) for t in table.triples()]
-        report["reg"] = table.reg()
-        report["pd"] = table.pd()
-        dual = dual_ideal(ideal)
-        report["cover_ideal"] = [sorted(bits(m)) for m in dual.gens]
-        if ideal.gens and fits("linear_quotients", len(ideal.gens)):
+        report["betti"] = [list(t) for t in w.betti.triples()]
+        report["reg"] = w.reg
+        report["pd"] = w.pd
+        report["cover_ideal"] = [sorted(bits(m)) for m in w.cover.gens]
+        gens = w.ideal.gens
+        if gens and fits("linear_quotients", len(gens)):
             # an order exists iff the complement is chordal (Froberg; Herzog-Hibi-Zheng)
-            lq = (linear_quotient_search(ideal, degree_monotone=True)
-                  if report["complement_chordal"] else None)
+            lq = w.edge_quotients if w.inv.complement_chordal else None
             report["edge_ideal_linear_quotients"] = (
                 None if lq is None else
-                {"order": [sorted(bits(ideal.gens[i])) for i in lq.order],
+                {"order": [sorted(bits(gens[i])) for i in lq.order],
                  "set_sizes": [s.bit_count() for s in lq.sets]})
 
     if fits("vertex_decomposition", g.n):
-        cert = vertex_decomposable(g)
-        report["vertex_decomposable"] = cert is not None
-        if cert is not None:
-            report["root_shedding_vertex"] = root_shedding_vertex(cert)
-        c = independence_complex(g)
-        if fits("shelling", len(c.effective_facets())):
-            sh = shellable(c)
-            report["shellable"] = sh is not None
-            if sh is not None:
-                report["shelling"] = [sorted(bits(f)) for f in sh.facets]
+        report["vertex_decomposable"] = w.vd is not None
+        if w.vd is not None:
+            report["root_shedding_vertex"] = root_shedding_vertex(w.vd)
+        if fits("shelling", len(w.complex.effective_facets())):
+            report["shellable"] = w.shelling is not None
+            if w.shelling is not None:
+                report["shelling"] = [sorted(bits(f)) for f in w.shelling.facets]
 
-    dt = recognize_d_tree(g)
-    report["dtree"] = None if dt is None else dt.d
-    cdt = recognize_d_tree(complement(g))
-    report["complement_dtree"] = None if cdt is None else cdt.d
+    report["dtree"] = None if w.dtree is None else w.dtree.d
+    report["complement_dtree"] = (None if w.complement_dtree is None
+                                  else w.complement_dtree.d)
     return report
-

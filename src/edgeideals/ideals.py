@@ -9,7 +9,7 @@ from typing import Iterable
 
 from .betti import BettiTable
 from .bitsets import bits
-from .graphs import Graph, induced_subgraph, maximal_independent_sets
+from .graphs import Graph, maximal_independent_sets
 from .limits import check
 
 
@@ -219,22 +219,14 @@ def verify_dual_decomposition(g: Graph, x: int) -> DualDecompositionReport:
     xbit = 1 << x
     nbhd = g.adj[x]
 
-    def lifted_dual(sub: int) -> list[int]:
-        h, labels = induced_subgraph(g, sub)
-        out = []
-        for m in dual_ideal(edge_ideal(h)).gens:
-            lifted = 0
-            for b in bits(m):
-                lifted |= 1 << labels[b]
-            out.append(lifted)
-        return out
+    def covers(sub: int) -> list[int]:  # the cover ideal of G[sub]
+        return [sub & ~f for f in maximal_independent_sets(g, sub)]
 
-    left = [m | xbit for m in lifted_dual(g.full & ~xbit)]
-    h2_dual = lifted_dual(g.full & ~xbit & ~nbhd)
+    left = [m | xbit for m in covers(g.full & ~xbit)]
+    h2_dual = covers(g.full & ~xbit & ~nbhd)
     right = [m | nbhd for m in h2_dual]
 
-    whole = dual_ideal(edge_ideal(g)).gens
-    sum_ok = _antichain(left + right) == list(whole)
+    sum_ok = _antichain(left + right) == _antichain(covers(g.full))
 
     inter = _antichain(a | b for a in left for b in right)
     expect = _antichain(m | xbit | nbhd for m in h2_dual)

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .bitsets import bits
-from .complexes import SimplicialComplex, independence_complex, minimal_nonfaces
+from .complexes import SimplicialComplex, _facet_complements, independence_complex
 from .graphs import Graph, maximal_independent_sets
 from .homology import GF2, FieldChoice, restriction_homology
-from .ideals import dual_ideal, edge_ideal, linear_quotient_search
+from .ideals import edge_ideal, linear_quotient_search
 from .limits import check
 
 
@@ -137,15 +137,16 @@ def shellable(obj: Graph | SimplicialComplex) -> ShellingCertificate | None:
     """Shelling order for the (independence) complex or None.
 
     Found by transcribing a linear-quotient order of the Alexander dual of
-    the Stanley-Reisner ideal: the generator complementary to a facet sits
-    at the same position the facet takes in the shelling.
+    the Stanley-Reisner ideal, whose generators are the facet complements
+    (for Ind(G), the cover ideal of G): the generator complementary to a
+    facet sits at the same position the facet takes in the shelling.
     """
     c = independence_complex(obj) if isinstance(obj, Graph) else obj
     eff = c.effective_facets()
     if len(eff) <= 1:
         return ShellingCertificate(eff)
     check("shelling", len(eff))
-    ideal = dual_ideal(minimal_nonfaces(c))
+    ideal = _facet_complements(c)
     cert = linear_quotient_search(ideal)
     if cert is None:
         return None

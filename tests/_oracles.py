@@ -14,6 +14,7 @@ is the reference for the pass that skips cones and folds. Both take their
 ranks from the dense kernels here, not from the package's sparse ones.
 """
 
+import random
 from itertools import combinations, permutations
 
 from edgeideals import (BettiTable, build_graph, edge_ideal,
@@ -163,6 +164,19 @@ def d_tree_values(g):
         if g.n >= d + 1 and peelable(set(range(g.n)), d):
             out.add(d)
     return out
+
+
+def random_d_tree_by_subsets(d, steps, seed):
+    """family("dtree:d,steps,seed") drawn by scanning subsets: each new
+    vertex v is glued to rng.choice of every d-subset of 0..v-1 that is a
+    clique, in lexicographic order, with rng = random.Random(seed)."""
+    rng = random.Random(seed)
+    edges = set(combinations(range(d + 1), 2))
+    for v in range(d + 1, d + 1 + steps):
+        cliques = [c for c in combinations(range(v), d)
+                   if all(e in edges for e in combinations(c, 2))]
+        edges.update((u, v) for u in rng.choice(cliques))
+    return build_graph(d + 1 + steps, sorted(edges))
 
 
 def shellable_by_permutation(facets):

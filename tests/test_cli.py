@@ -128,6 +128,14 @@ def test_verify_jobs_below_one_exits_2(capsys):
     assert "jobs must be at least 1" in capsys.readouterr().err
 
 
+def test_verify_negative_max_n_exits_2(monkeypatch, capsys):
+    assert main(["verify", "--max-n", "-1"]) == 2
+    assert "max_n must be non-negative" in capsys.readouterr().err
+    monkeypatch.setenv("EDGEIDEALS_MAX_N", "-1")
+    assert main(["verify"]) == 2
+    assert "max_n must be non-negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["MAX_N", "SEED", "JOBS"])
 def test_bad_integer_env_default_is_a_verify_usage_error(name, monkeypatch,
                                                          capsys):

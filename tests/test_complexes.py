@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
 import _oracles as oracle
 from edgeideals import (SimplicialComplex, alexander_dual, complex_from_ideal,
-                        deletion, edge_ideal, family, independence_complex,
-                        link, minimal_nonfaces, simplicial_complex,
-                        squarefree_ideal)
+                        deletion, dual_ideal, edge_ideal, family,
+                        independence_complex, link, minimal_nonfaces,
+                        simplicial_complex, squarefree_ideal)
 from edgeideals.bitsets import bits, mask_of
+from edgeideals.complexes import _facet_complements
 
 
 def _faces_as_sets(c, labels=None):
@@ -164,3 +167,19 @@ def test_alexander_dual_extremes():
     empty = simplicial_complex(3, [0])
     boundary = alexander_dual(empty)
     assert boundary.facets == (0b011, 0b101, 0b110)
+
+
+def test_facet_complements_are_the_dual_of_the_stanley_reisner_ideal():
+    # the Berge route, two transversal runs, is the reference; equal tuples
+    # mean the same generator order, so linear-quotient searches agree too
+    rng = random.Random(7)
+    cases = [SimplicialComplex(k, (), True) for k in range(4)]
+    cases += [simplicial_complex(k, []) for k in range(4)]
+    for _ in range(300):
+        ground = rng.randint(1, 7)
+        faces = [rng.getrandbits(ground) for _ in range(rng.randint(1, 6))]
+        apex = 1 << rng.randrange(ground)
+        cases += [simplicial_complex(ground, faces),
+                  simplicial_complex(ground, [f | apex for f in faces])]
+    for c in cases:
+        assert _facet_complements(c) == dual_ideal(minimal_nonfaces(c))

@@ -2,6 +2,7 @@ import itertools
 import os
 import pathlib
 import random
+import signal
 import subprocess
 import sys
 
@@ -9,7 +10,8 @@ import pytest
 
 import _oracles as oracle
 from edgeideals import (DTreeCertificate, build_graph, canonical_form,
-                        canonical_graph, complement, enumerate_graphs, family,
+                        canonical_graph, complement, dtree_family_specs,
+                        enumerate_graphs, family,
                         induced_subgraph, is_chordal, is_connected,
                         maximal_independent_sets, recognize_d_tree,
                         validate_d_tree_certificate, whisker)
@@ -210,6 +212,33 @@ def test_random_d_tree_family_is_deterministic_and_recognized():
     assert cert is not None and cert.d == 2
     other = family("dtree:2,4,8")
     assert recognize_d_tree(other).d == 2
+
+
+def test_random_d_tree_matches_the_subset_scan():
+    # the grid holds the benchmark's d-tree specs (d <= 3, seed 0, at most
+    # 10 steps)
+    specs = [(d, steps, seed) for d in range(1, 6) for steps in range(12)
+             for seed in range(12)]
+    specs += [tuple(int(x) for x in spec.split(":")[1].split(","))
+              for spec in dtree_family_specs(0)]
+    for d, steps, seed in specs:
+        assert family(f"dtree:{d},{steps},{seed}") == \
+            oracle.random_d_tree_by_subsets(d, steps, seed)
+
+
+def test_random_d_tree_at_the_bitmask_cap_builds_quickly():
+    def give_up(signum, frame):
+        raise TimeoutError("dtree:30,33,0 took more than 10 s")
+
+    old = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        g = family("dtree:30,33,0")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert g.n == 64
+    assert recognize_d_tree(g).d == 30
 
 
 def test_canonical_form_is_isomorphism_invariant():

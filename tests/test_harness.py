@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from edgeideals import (CHECKS, CheckResult, analyze, build_graph,
+from edgeideals import (CHECKS, GF2, CheckResult, analyze, build_graph,
                         dtree_family_specs, family, verify_theorems)
 
 
@@ -74,6 +75,46 @@ def test_verify_starts_at_most_cpus_and_subjects_workers(jobs, cpus, workers,
 def test_verify_rejects_fewer_than_one_job(jobs):
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         verify_theorems(max_n=3, jobs=jobs)
+
+
+@pytest.mark.parametrize("max_n", [-1, -3])
+def test_verify_rejects_a_negative_max_n(max_n, monkeypatch):
+    import edgeideals.harness as harness
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated graphs for a negative max_n")
+
+    monkeypatch.setattr(harness, "enumerate_graphs", no_enumeration)
+    with pytest.raises(ValueError, match="max_n must be non-negative"):
+        verify_theorems(max_n=max_n)
+
+
+def test_a_subject_builds_its_complex_once_and_runs_no_transversals(monkeypatch):
+    import edgeideals.complexes as complexes
+    import edgeideals.harness as harness
+    import edgeideals.ideals as ideals
+
+    calls = {"independence_complex": 0, "minimal_hitting_sets": 0}
+    for home, name in ((complexes, "independence_complex"),
+                       (ideals, "minimal_hitting_sets")):
+        fn = getattr(home, name)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("edgeideals") and vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    g = family("pendant_cycle:1")
+    rows = harness._run_payload(("enumerated", g.n, tuple(g.edges()), None,
+                                 None, harness.CHECK_ORDER, GF2))
+    status = {row["check"]: row["status"] for row in rows}
+    assert len(status) == len(CHECKS) and "fail" not in status.values()
+    for cid in ("reducing-vertex", "shelling-quotients", "dual-pd-reg",
+                "dual-decomposition"):
+        assert status[cid] == "pass"
+    assert calls == {"independence_complex": 1, "minimal_hitting_sets": 0}
 
 
 def test_unknown_check_is_rejected():
