@@ -12,11 +12,10 @@ import os
 import sys
 from pathlib import Path
 
-from .bitsets import bits
 from .graphs import Graph, build_graph, enumerate_graphs, family
-from .harness import CHECK_ORDER, analyze, verify_theorems
+from .harness import CHECK_ORDER, GraphWorkup, analyze, verify_theorems
 from .homology import hochster_betti, parse_field
-from .ideals import dual_ideal, edge_ideal
+from .limits import check
 
 
 def parse_input(text: str) -> Graph:
@@ -142,10 +141,11 @@ def _print_betti_table(table) -> None:
 
 def cmd_betti(args) -> int:
     g = load_graph(args.graph)
-    ideal = edge_ideal(g)
-    if args.dual:
-        ideal = dual_ideal(ideal)
-    table = hochster_betti(ideal, parse_field(args.field))
+    w = GraphWorkup(g, parse_field(args.field))
+    # refuse before building either ideal: past the cap, listing the cover
+    # ideal's generators alone can take minutes
+    check("subset_homology", g.n)
+    table = hochster_betti(w.cover if args.dual else w.ideal, w.field)
     which = "dual of the edge ideal" if args.dual else "edge ideal"
     print(f"# graded Betti numbers of R/I, I = {which}, field {args.field}")
     print("# rows j-i, columns i")

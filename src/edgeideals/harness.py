@@ -189,7 +189,7 @@ def _check_dtree_pd_maxdeg(w: GraphWorkup):
 
 def _check_shelling_quotients(w: GraphWorkup):
     c = w.complex
-    if not fits("shelling_bruteforce", len(c.effective_facets())):
+    if not fits("shelling_bruteforce", len(c.facets)):
         return "skip", "too many facets for the backtracking oracle", {}
     direct = shelling_bruteforce(c)
     data = {"via_quotients": w.shelling is not None,
@@ -448,7 +448,7 @@ def analyze(g: Graph, field: FieldChoice = GF2) -> dict:
         report["vertex_decomposable"] = w.vd is not None
         if w.vd is not None:
             report["root_shedding_vertex"] = root_shedding_vertex(w.vd)
-        if fits("shelling", len(w.complex.effective_facets())):
+        if fits("shelling", len(w.complex.facets)):
             report["shellable"] = w.shelling is not None
             if w.shelling is not None:
                 report["shelling"] = [sorted(bits(f)) for f in w.shelling.facets]

@@ -185,8 +185,6 @@ def _clear_pivot_columns(row: dict[int, int], pivots: list[tuple[int, dict[int, 
 
 def face_counts(c: SimplicialComplex) -> dict[int, int]:
     """Number of faces in each dimension, including the empty face at -1."""
-    if c.is_void:
-        return {}
     out: dict[int, int] = {}
     for f in c.faces():
         d = f.bit_count() - 1

@@ -84,11 +84,8 @@ def minimal_vertex_covers(g: Graph) -> list[int]:
 
 def dual_ideal(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
     """Alexander dual: generated by the minimal hitting sets of the
-    generator supports.  Dual of zero is unit and vice versa."""
-    if ideal.is_zero:
-        return SquarefreeIdeal(ideal.nvars, (0,))
-    if ideal.is_unit:
-        return SquarefreeIdeal(ideal.nvars, ())
+    generator supports.  Dual of zero is unit and vice versa, since the
+    empty family has the one transversal 0 and the unit ideal has none."""
     return squarefree_ideal(ideal.nvars, minimal_hitting_sets(ideal.gens))
 
 

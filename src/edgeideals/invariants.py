@@ -35,10 +35,18 @@ def _pair_induced(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> bool:
     return span.bit_count() == 4 and _edges_within(g, span) == 2
 
 
-def _best_compatible(count: int, compat: list[int]) -> tuple[int, list[int]]:
-    """Largest pairwise-compatible subset of unit indices (max clique in the
-    compatibility graph), with the first such subset in lexicographic
-    exploration order as witness."""
+def _best_compatible(units: list[tuple[int, ...]], compatible) -> list[tuple[int, ...]]:
+    """Largest set of pairwise vertex-disjoint units that also pass the pair
+    predicate compatible(earlier, later) (a max clique in the compatibility
+    graph), with the first such set in lexicographic exploration order as
+    witness."""
+    masks = [mask_of(u) for u in units]
+    compat = [0] * len(units)
+    for i in range(len(units)):
+        for j in range(i + 1, len(units)):
+            if not masks[i] & masks[j] and compatible(units[i], units[j]):
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
     best = 0
     best_set: list[int] = []
 
@@ -58,37 +66,22 @@ def _best_compatible(count: int, compat: list[int]) -> tuple[int, list[int]]:
             if len(chosen) + 1 + cand.bit_count() <= best:
                 return
 
-    expand([], (1 << count) - 1)
-    return best, best_set
+    expand([], (1 << len(units)) - 1)
+    return [units[i] for i in best_set]
 
 
 def matching_number(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     """Maximum set of pairwise vertex-disjoint edges, found exhaustively."""
     check("invariants", g.n)
-    e = g.edges()
-    masks = [mask_of(x) for x in e]
-    compat = [0] * len(e)
-    for i in range(len(e)):
-        for j in range(i + 1, len(e)):
-            if not masks[i] & masks[j]:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-    size, idx = _best_compatible(len(e), compat)
-    return size, [e[i] for i in idx]
+    best = _best_compatible(g.edges(), lambda e, f: True)
+    return len(best), best
 
 
 def induced_matching_number(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     """Maximum matching whose edges pairwise induce no extra edge."""
     check("invariants", g.n)
-    e = g.edges()
-    compat = [0] * len(e)
-    for i in range(len(e)):
-        for j in range(i + 1, len(e)):
-            if _pair_induced(g, e[i], e[j]):
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-    size, idx = _best_compatible(len(e), compat)
-    return size, [e[i] for i in idx]
+    best = _best_compatible(g.edges(), lambda e, f: _pair_induced(g, e, f))
+    return len(best), best
 
 
 def path_packing_number(g: Graph, induced_paths: bool = False
@@ -114,19 +107,9 @@ def path_packing_number(g: Graph, induced_paths: bool = False
                     continue
                 seen.add(m)
                 units.append((u, v, w))
-    masks = [mask_of(u) for u in units]
-    compat = [0] * len(units)
-    for i in range(len(units)):
-        for j in range(i + 1, len(units)):
-            if masks[i] & masks[j]:
-                continue
-            if len(units[i]) == 2 and len(units[j]) == 2 and \
-                    not _pair_induced(g, units[i], units[j]):
-                continue
-            compat[i] |= 1 << j
-            compat[j] |= 1 << i
-    size, idx = _best_compatible(len(units), compat)
-    return size, [units[i] for i in idx]
+    best = _best_compatible(units, lambda p, q: len(p) == 3 or len(q) == 3
+                            or _pair_induced(g, p, q))
+    return len(best), best
 
 
 def whisker_number(g: Graph) -> tuple[int, list[tuple[int, int]]]:
@@ -142,19 +125,13 @@ def whisker_number(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     for u, v in g.edges():
         units.append((u, v))
         units.append((v, u))
-    compat = [0] * len(units)
-    for i in range(len(units)):
-        a1, b1 = units[i]
-        for j in range(i + 1, len(units)):
-            a2, b2 = units[j]
-            if mask_of(units[i]) & mask_of(units[j]):
-                continue
-            if g.has_edge(b1, b2) or g.has_edge(b1, a2) or g.has_edge(b2, a1):
-                continue
-            compat[i] |= 1 << j
-            compat[j] |= 1 << i
-    size, idx = _best_compatible(len(units), compat)
-    return size, [units[i] for i in idx]
+
+    def private(x: tuple[int, int], y: tuple[int, int]) -> bool:
+        (a1, b1), (a2, b2) = x, y
+        return not (g.has_edge(b1, b2) or g.has_edge(b1, a2) or g.has_edge(b2, a1))
+
+    best = _best_compatible(units, private)
+    return len(best), best
 
 
 def is_triangle_free(g: Graph) -> bool:

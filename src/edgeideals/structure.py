@@ -128,7 +128,7 @@ def _shelling_condition(facets: tuple[int, ...]) -> bool:
 def validate_shelling(c: SimplicialComplex | Graph, cert: ShellingCertificate) -> bool:
     if isinstance(c, Graph):
         c = independence_complex(c)
-    if sorted(cert.facets) != sorted(c.effective_facets()):
+    if sorted(cert.facets) != sorted(c.facets):
         return False
     return _shelling_condition(cert.facets)
 
@@ -142,10 +142,9 @@ def shellable(obj: Graph | SimplicialComplex) -> ShellingCertificate | None:
     facet sits at the same position the facet takes in the shelling.
     """
     c = independence_complex(obj) if isinstance(obj, Graph) else obj
-    eff = c.effective_facets()
-    if len(eff) <= 1:
-        return ShellingCertificate(eff)
-    check("shelling", len(eff))
+    if len(c.facets) <= 1:
+        return ShellingCertificate(c.facets)
+    check("shelling", len(c.facets))
     ideal = _facet_complements(c)
     cert = linear_quotient_search(ideal)
     if cert is None:
@@ -158,12 +157,12 @@ def shelling_bruteforce(c: SimplicialComplex | Graph) -> ShellingCertificate | N
     memoising failed prefix sets."""
     if isinstance(c, Graph):
         c = independence_complex(c)
-    eff = c.effective_facets()
-    if len(eff) <= 1:
-        return ShellingCertificate(eff)
-    m = len(eff)
+    facets = c.facets
+    if len(facets) <= 1:
+        return ShellingCertificate(facets)
+    m = len(facets)
     check("shelling_bruteforce", m)
-    diff = [[eff[j] & ~eff[i] for i in range(m)] for j in range(m)]
+    diff = [[facets[j] & ~facets[i] for i in range(m)] for j in range(m)]
     single = [[diff[j][i].bit_count() == 1 for i in range(m)] for j in range(m)]
     failed: set[int] = set()
     order: list[int] = []
@@ -189,7 +188,7 @@ def shelling_bruteforce(c: SimplicialComplex | Graph) -> ShellingCertificate | N
         return False
 
     if dfs(0):
-        return ShellingCertificate(tuple(eff[j] for j in order))
+        return ShellingCertificate(tuple(facets[j] for j in order))
     return None
 
 

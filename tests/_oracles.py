@@ -80,6 +80,16 @@ def complex_faces(c):
     return out
 
 
+def ideal_faces(nvars, gens):
+    """Faces of the complex of a squarefree ideal: the subsets of the
+    variables that contain no generator's support."""
+    supports = [{v for v in range(nvars) if m >> v & 1} for m in gens]
+    return {frozenset(s)
+            for r in range(nvars + 1)
+            for s in combinations(range(nvars), r)
+            if not any(t <= set(s) for t in supports)}
+
+
 def alexander_dual_faces(c):
     ground = set(range(c.ground))
     faces = complex_faces(c)

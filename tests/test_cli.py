@@ -1,4 +1,8 @@
 import json
+import pathlib
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -86,6 +90,34 @@ def test_betti_dual_command(capsys):
     assert main(["betti", "pendant_cycle:1", "--dual"]) == 0
     printed = capsys.readouterr().out
     assert "reg = 2, pd = 2" in printed
+
+
+def test_betti_dual_refuses_past_the_cap_before_building_the_cover_ideal(capsys):
+    # building the 64-vertex path's cover ideal takes minutes or more, so a
+    # hang fails here instead of stalling the suite
+    def give_up(signum, frame):
+        raise TimeoutError("betti path:63 --dual did not refuse within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(5)
+    try:
+        assert main(["betti", "path:63", "--dual"]) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert "subset_homology cap" in capsys.readouterr().err
+
+
+def test_package_imports_without_site_packages():
+    # no runtime dependency: -S leaves site-packages off sys.path, and -I
+    # ignores PYTHONPATH, so only the standard library and src are there
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import edgeideals, edgeideals.cli; "
+            "print(any('site-packages' in p for p in sys.path))")
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_generate_count(capsys):

@@ -3,11 +3,11 @@ import random
 import pytest
 
 import _oracles as oracle
-from edgeideals import (SimplicialComplex, alexander_dual, complex_from_ideal,
-                        deletion, dual_ideal, edge_ideal, family,
+from edgeideals import (alexander_dual, complex_from_ideal, deletion,
+                        dual_ideal, edge_ideal, family,
                         independence_complex, link, minimal_nonfaces,
                         simplicial_complex, squarefree_ideal)
-from edgeideals.bitsets import bits, mask_of
+from edgeideals.bitsets import bits
 from edgeideals.complexes import _facet_complements
 
 
@@ -29,7 +29,7 @@ def test_independence_complex_frozen():
 def test_independence_complex_matches_bruteforce(graphs_through_5):
     for g in graphs_through_5:
         c = independence_complex(g)
-        got = sorted(tuple(sorted(bits(f))) for f in c.effective_facets())
+        got = sorted(tuple(sorted(bits(f))) for f in c.facets)
         assert got == oracle.maximal_independent_sets(g)
 
 
@@ -41,20 +41,19 @@ def test_normalisation_keeps_maximal_faces_only():
 
 
 def test_empty_and_void_complexes_are_distinct():
-    empty = simplicial_complex(2, [0])
-    assert not empty.is_void
-    assert empty.facets == ()
-    assert empty.effective_facets() == (0,)
-    assert empty.has_face(0)
+    # no faces give the void complex, the empty face alone gives {emptyset}
+    for n in range(5):
+        empty = simplicial_complex(n, [0])
+        assert not empty.is_void
+        assert empty.facets == (0,)
+        assert empty.has_face(0)
+        assert empty.faces() == [0]
 
-    void = simplicial_complex(2, [], is_void=True)
-    assert void.is_void
-    assert void.effective_facets() == ()
-    assert not void.has_face(0)
-    assert void.faces() == []
-
-    with pytest.raises(ValueError):
-        simplicial_complex(2, [1], is_void=True)
+        void = simplicial_complex(n, [])
+        assert void.is_void
+        assert void.facets == ()
+        assert not void.has_face(0)
+        assert void.faces() == []
 
 
 def test_complex_rejects_bad_ground():
@@ -84,7 +83,7 @@ def test_link_and_deletion_of_vertex_match_graph_operations(graphs_through_5):
 def test_link_of_facet_is_empty_complex():
     c = independence_complex(family("complete:2"))
     lk, labels = link(c, 0b01)
-    assert lk.effective_facets() == (0,)
+    assert lk.facets == (0,)
     assert labels == (1,)
 
 
@@ -95,7 +94,7 @@ def test_link_of_nonface_raises():
 
 
 def test_deletion_of_void_stays_void():
-    void = simplicial_complex(3, [], is_void=True)
+    void = simplicial_complex(3, [])
     dl, labels = deletion(void, 0b010)
     assert dl.is_void and dl.ground == 2
     assert labels == (0, 2)
@@ -125,7 +124,7 @@ def test_stanley_reisner_round_trip(graphs_through_5):
 def test_dictionary_edge_cases():
     full = simplicial_complex(3, [0b111])
     assert minimal_nonfaces(full).is_zero
-    void = simplicial_complex(3, [], is_void=True)
+    void = simplicial_complex(3, [])
     assert minimal_nonfaces(void).is_unit
 
     assert complex_from_ideal(squarefree_ideal(3, [])) == full
@@ -146,11 +145,8 @@ def test_alexander_dual_matches_bruteforce(graphs_through_5):
         c = independence_complex(g)
         dual = alexander_dual(c)
         faces = oracle.alexander_dual_faces(c)
-        got = sorted(tuple(sorted(bits(f))) for f in dual.effective_facets())
-        if dual.is_void:
-            assert not faces
-        else:
-            assert got == oracle.maximal_sets(faces)
+        got = sorted(tuple(sorted(bits(f))) for f in dual.facets)
+        assert got == oracle.maximal_sets(faces)
 
 
 def test_alexander_dual_is_involution(graphs_through_5):
@@ -162,24 +158,47 @@ def test_alexander_dual_is_involution(graphs_through_5):
 def test_alexander_dual_extremes():
     full = simplicial_complex(3, [0b111])
     assert alexander_dual(full).is_void
-    void = simplicial_complex(3, [], is_void=True)
+    void = simplicial_complex(3, [])
     assert alexander_dual(void) == full
     empty = simplicial_complex(3, [0])
     boundary = alexander_dual(empty)
     assert boundary.facets == (0b011, 0b101, 0b110)
 
 
-def test_facet_complements_are_the_dual_of_the_stanley_reisner_ideal():
-    # the Berge route, two transversal runs, is the reference; equal tuples
-    # mean the same generator order, so linear-quotient searches agree too
+def _random_complexes():
+    """Void and {emptyset} on 0-3 vertices, then 300 seeded random complexes
+    on 1-7 vertices, each also coned over a random apex. The random face
+    lists are mostly non-flag, and now and then just the empty face."""
     rng = random.Random(7)
-    cases = [SimplicialComplex(k, (), True) for k in range(4)]
-    cases += [simplicial_complex(k, []) for k in range(4)]
+    cases = [simplicial_complex(k, []) for k in range(4)]
+    cases += [simplicial_complex(k, [0]) for k in range(4)]
     for _ in range(300):
         ground = rng.randint(1, 7)
         faces = [rng.getrandbits(ground) for _ in range(rng.randint(1, 6))]
         apex = 1 << rng.randrange(ground)
         cases += [simplicial_complex(ground, faces),
                   simplicial_complex(ground, [f | apex for f in faces])]
-    for c in cases:
+    return cases
+
+
+def test_facet_complements_are_the_dual_of_the_stanley_reisner_ideal():
+    # minimal_nonfaces is itself the dual of the facet complements, so this
+    # checks that the dual undoes itself; equal tuples mean the same
+    # generator order, so linear-quotient searches agree too
+    for c in _random_complexes():
         assert _facet_complements(c) == dual_ideal(minimal_nonfaces(c))
+
+
+def _sets(masks):
+    return sorted(tuple(sorted(bits(m))) for m in masks)
+
+
+def test_dictionary_matches_bruteforce_on_random_complexes():
+    for c in _random_complexes():
+        nonfaces = minimal_nonfaces(c)
+        assert _sets(nonfaces.gens) == oracle.minimal_nonfaces(c)
+        assert _sets(alexander_dual(c).facets) == \
+            oracle.maximal_sets(oracle.alexander_dual_faces(c))
+        for ideal in (nonfaces, _facet_complements(c)):
+            assert _faces_as_sets(complex_from_ideal(ideal)) == \
+                oracle.ideal_faces(ideal.nvars, ideal.gens)

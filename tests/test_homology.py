@@ -25,7 +25,7 @@ def test_homology_of_standard_complexes():
     empty = simplicial_complex(3, [0])
     assert reduced_homology_ranks(empty) == {-1: 1}
 
-    void = simplicial_complex(3, [], is_void=True)
+    void = simplicial_complex(3, [])
     assert reduced_homology_ranks(void) == {}
 
     full = simplicial_complex(3, [0b111])
@@ -75,7 +75,7 @@ def test_projective_plane_betti_table_depends_on_characteristic():
 def test_face_counts():
     c = independence_complex(family("cycle:4"))
     assert face_counts(c) == {-1: 1, 0: 4, 1: 2}
-    assert face_counts(simplicial_complex(2, [], is_void=True)) == {}
+    assert face_counts(simplicial_complex(2, [])) == {}
 
 
 def test_euler_poincare(graphs_through_5):

@@ -40,7 +40,7 @@ def test_minimal_vertex_covers_match_bruteforce(graphs_through_5):
 
 def test_covers_are_facet_complements(graphs_through_5):
     for g in graphs_through_5:
-        facets = independence_complex(g).effective_facets()
+        facets = independence_complex(g).facets
         assert sorted(g.full & ~f for f in facets) == \
             sorted(minimal_vertex_covers(g))
 

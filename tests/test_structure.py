@@ -112,7 +112,7 @@ def test_shellable_agrees_with_bruteforce_on_random_complexes():
             assert validate_shelling(c, via_quotients)
             assert validate_shelling(c, via_orders)
         perms = oracle.shellable_by_permutation(
-            [set(bits(f)) for f in c.effective_facets()])
+            [set(bits(f)) for f in c.facets])
         assert perms == (via_quotients is not None)
 
 
