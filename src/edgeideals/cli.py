@@ -48,14 +48,14 @@ def parse_input(text: str) -> Graph:
 
 
 def load_graph(arg: str) -> Graph:
-    """Resolve a CLI graph argument: family spec, '-' for stdin, or a file."""
-    if ":" in arg:
-        return family(arg)
+    """Resolve a CLI graph argument: '-' for stdin, a file, or a family spec."""
     if arg == "-":
         return parse_input(sys.stdin.read())
     path = Path(arg)
     if path.is_file():
         return parse_input(path.read_text())
+    if ":" in arg:
+        return family(arg)
     raise ValueError(f"not a family spec or readable file: {arg}")
 
 

@@ -24,7 +24,7 @@ from .homology import (GF2, FieldChoice, _betti_from_pass, hochster_betti,
                        restriction_homology)
 from .ideals import (betti_from_certificate, edge_ideal,
                      linear_quotient_search, verify_dual_decomposition)
-from .invariants import compute_invariants
+from .invariants import compute_invariants, is_triangle_free
 from .limits import check, fits
 from .structure import (_reducing_vertex, root_shedding_vertex, shellable,
                         shelling_bruteforce, validate_shelling,
@@ -47,6 +47,18 @@ class GraphWorkup:
     @cached_property
     def chordal(self) -> bool:
         return is_chordal(self.g) is not None
+
+    @cached_property
+    def complement(self) -> Graph:
+        return complement(self.g)
+
+    @cached_property
+    def complement_chordal(self) -> bool:
+        return is_chordal(self.complement) is not None
+
+    @cached_property
+    def complement_triangle_free(self) -> bool:
+        return is_triangle_free(self.complement)
 
     @cached_property
     def ideal(self):
@@ -93,8 +105,10 @@ class GraphWorkup:
 
     @cached_property
     def edge_quotients(self):
-        """A degree-monotone linear-quotient order of the edge ideal."""
-        return linear_quotient_search(self.ideal, degree_monotone=True)
+        """A degree-monotone linear-quotient order of the edge ideal, or None.
+        One exists iff the complement is chordal (Froberg; Herzog-Hibi-Zheng)."""
+        return (linear_quotient_search(self.ideal, degree_monotone=True)
+                if self.complement_chordal else None)
 
     @cached_property
     def dtree(self):
@@ -102,7 +116,7 @@ class GraphWorkup:
 
     @cached_property
     def complement_dtree(self):
-        return recognize_d_tree(complement(self.g))
+        return recognize_d_tree(self.complement)
 
 
 def _verdict(ok: bool) -> str:
@@ -143,10 +157,10 @@ def _check_reg_le_min(w: GraphWorkup):
 
 
 def _check_trianglefree_complement(w: GraphWorkup):
-    if not w.inv.complement_triangle_free:
+    if not w.complement_triangle_free:
         return "skip", "complement has a triangle", {}
-    data = {"reg": w.reg, "complement_chordal": w.inv.complement_chordal}
-    ok = w.reg <= 2 and (w.inv.complement_chordal or w.reg == 2)
+    data = {"reg": w.reg, "complement_chordal": w.complement_chordal}
+    ok = w.reg <= 2 and (w.complement_chordal or w.reg == 2)
     return _verdict(ok), "", data
 
 
@@ -154,8 +168,6 @@ def _check_dtree_min_degree(w: GraphWorkup):
     cert = w.dtree
     if cert is None:
         return "skip", "not a d-tree", {}
-    if w.g.n == 0:
-        return "pass", "", {"d": cert.d}
     mindeg = min(w.g.degree(v) for v in range(w.g.n))
     data = {"d": cert.d, "min_degree": mindeg}
     ok = validate_d_tree_certificate(w.g, cert) and mindeg >= cert.d
@@ -223,15 +235,15 @@ def _check_reg_le_matching(w: GraphWorkup):
 def _check_linear_resolution_chordal(w: GraphWorkup):
     if w.g.edge_count() == 0:
         return "skip", "no edges", {}
-    data = {"reg": w.reg, "complement_chordal": w.inv.complement_chordal}
-    return _verdict((w.reg == 1) == w.inv.complement_chordal), "", data
+    data = {"reg": w.reg, "complement_chordal": w.complement_chordal}
+    return _verdict((w.reg == 1) == w.complement_chordal), "", data
 
 
 def _check_dual_decomposition(w: GraphWorkup):
     if w.vd is None:
         return "skip", "independence complex is not vertex decomposable", {}
     x = root_shedding_vertex(w.vd)
-    if x is None or w.g.edge_count() == 0:
+    if x is None:
         return "skip", "decomposition has no shedding vertex", {}
     rep = verify_dual_decomposition(w.g, x)
     data = {"vertex": x, "sum_identity": rep.sum_identity,
@@ -426,8 +438,8 @@ def analyze(g: Graph, field: FieldChoice = GF2) -> dict:
             "whisker_number": inv.whisker_number,
             "whisker_witness": [list(p) for p in inv.whisker_witness],
         }
-        report["complement_chordal"] = inv.complement_chordal
-        report["complement_triangle_free"] = inv.complement_triangle_free
+        report["complement_chordal"] = w.complement_chordal
+        report["complement_triangle_free"] = w.complement_triangle_free
     report["chordal"] = w.chordal
 
     if fits("subset_homology", g.n):
@@ -437,8 +449,7 @@ def analyze(g: Graph, field: FieldChoice = GF2) -> dict:
         report["cover_ideal"] = [sorted(bits(m)) for m in w.cover.gens]
         gens = w.ideal.gens
         if gens and fits("linear_quotients", len(gens)):
-            # an order exists iff the complement is chordal (Froberg; Herzog-Hibi-Zheng)
-            lq = w.edge_quotients if w.inv.complement_chordal else None
+            lq = w.edge_quotients
             report["edge_ideal_linear_quotients"] = (
                 None if lq is None else
                 {"order": [sorted(bits(gens[i])) for i in lq.order],

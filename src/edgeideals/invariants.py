@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsets import bits, mask_of
-from .graphs import Graph, complement, is_chordal
+from .graphs import Graph
 from .limits import check
 
 
@@ -203,10 +203,6 @@ class InvariantReport:
     whisker_witness: list
     matching: int
     matching_witness: list
-    max_degree: int
-    chordal: bool
-    complement_chordal: bool
-    complement_triangle_free: bool
 
 
 def compute_invariants(g: Graph) -> InvariantReport:
@@ -214,14 +210,9 @@ def compute_invariants(g: Graph) -> InvariantReport:
     pp, ppw = path_packing_number(g)
     wn, wnw = whisker_number(g)
     mt, mtw = matching_number(g)
-    gc = complement(g)
     return InvariantReport(
         induced_matching=im, induced_matching_witness=imw,
         path_packing=pp, path_packing_witness=ppw,
         whisker_number=wn, whisker_witness=wnw,
         matching=mt, matching_witness=mtw,
-        max_degree=g.max_degree(),
-        chordal=is_chordal(g) is not None,
-        complement_chordal=is_chordal(gc) is not None,
-        complement_triangle_free=is_triangle_free(gc),
     )

@@ -1,6 +1,10 @@
 """Structural certificates for independence complexes: shedding vertices,
 vertex decompositions, and shellings (found either through linear quotients
-of the dual cover ideal, or by direct backtracking over facet orders)."""
+of the dual cover ideal, or by direct backtracking over facet orders).
+
+Shedding is Woodroofe's graph test: x sheds G[W] iff every maximal
+independent set of G[W - x] meets N(x). A vertex-decomposition leaf is any
+edgeless vertex set, the empty one included: its complex is a simplex."""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .bitsets import bits
-from .complexes import SimplicialComplex, _facet_complements, independence_complex
+from .complexes import SimplicialComplex, _facet_complements
 from .graphs import Graph, maximal_independent_sets
 from .homology import GF2, FieldChoice, restriction_homology
 from .ideals import edge_ideal, linear_quotient_search
@@ -22,7 +26,7 @@ class ShellingCertificate:
 
 @dataclass(frozen=True)
 class VDLeaf:
-    kind: str  # "simplex" (no edges on the vertex set) or "empty" (no vertices)
+    """A vertex set with no edges: its independence complex is a simplex."""
 
 
 @dataclass(frozen=True)
@@ -35,12 +39,17 @@ class VDNode:
 VDCert = Union[VDNode, VDLeaf]
 
 
+def _sheds(g: Graph, sub: int, x: int) -> bool:
+    """x sheds g[sub]: every maximal independent set of g[sub - x] meets
+    N(x), so it stays maximal in g[sub]."""
+    return all(f & g.adj[x] for f in maximal_independent_sets(g, sub & ~(1 << x)))
+
+
 def is_shedding_vertex(g: Graph, x: int) -> bool:
     """True iff every maximal independent set of g - x stays maximal in g."""
     if not 0 <= x < g.n:
         raise ValueError("vertex out of range")
-    facets = set(maximal_independent_sets(g))
-    return all(f in facets for f in maximal_independent_sets(g, g.full & ~(1 << x)))
+    return _sheds(g, g.full, x)
 
 
 def _edgeless_within(g: Graph, sub: int) -> bool:
@@ -61,17 +70,14 @@ def vertex_decomposable(g: Graph) -> VDCert | None:
     def rec(sub: int) -> VDCert | None:
         if sub in memo:
             return memo[sub]
-        if sub == 0:
-            cert: VDCert | None = VDLeaf("empty")
-        elif _edgeless_within(g, sub):
-            cert = VDLeaf("simplex")
+        if _edgeless_within(g, sub):
+            cert: VDCert | None = VDLeaf()
         else:
             cert = None
-            facets = set(maximal_independent_sets(g, sub))
             for x in bits(sub):
-                smaller = sub & ~(1 << x)
-                if not all(f in facets for f in maximal_independent_sets(g, smaller)):
+                if not _sheds(g, sub, x):
                     continue
+                smaller = sub & ~(1 << x)
                 del_cert = rec(smaller)
                 if del_cert is None:
                     continue
@@ -91,18 +97,11 @@ def validate_vertex_decomposition(g: Graph, cert: VDCert) -> bool:
 
     def walk(node: VDCert, sub: int) -> bool:
         if isinstance(node, VDLeaf):
-            if node.kind == "empty":
-                return sub == 0
-            if node.kind == "simplex":
-                return _edgeless_within(g, sub)
-            return False
+            return _edgeless_within(g, sub)
         x = node.vertex
-        if not sub >> x & 1:
+        if not sub >> x & 1 or not _sheds(g, sub, x):
             return False
-        facets = set(maximal_independent_sets(g, sub))
         smaller = sub & ~(1 << x)
-        if not all(f in facets for f in maximal_independent_sets(g, smaller)):
-            return False
         return walk(node.deletion, smaller) and walk(node.link, smaller & ~g.adj[x])
 
     return walk(cert, g.full)
@@ -125,23 +124,20 @@ def _shelling_condition(facets: tuple[int, ...]) -> bool:
     return True
 
 
-def validate_shelling(c: SimplicialComplex | Graph, cert: ShellingCertificate) -> bool:
-    if isinstance(c, Graph):
-        c = independence_complex(c)
+def validate_shelling(c: SimplicialComplex, cert: ShellingCertificate) -> bool:
     if sorted(cert.facets) != sorted(c.facets):
         return False
     return _shelling_condition(cert.facets)
 
 
-def shellable(obj: Graph | SimplicialComplex) -> ShellingCertificate | None:
-    """Shelling order for the (independence) complex or None.
+def shellable(c: SimplicialComplex) -> ShellingCertificate | None:
+    """Shelling order for the complex or None.
 
     Found by transcribing a linear-quotient order of the Alexander dual of
     the Stanley-Reisner ideal, whose generators are the facet complements
     (for Ind(G), the cover ideal of G): the generator complementary to a
     facet sits at the same position the facet takes in the shelling.
     """
-    c = independence_complex(obj) if isinstance(obj, Graph) else obj
     if len(c.facets) <= 1:
         return ShellingCertificate(c.facets)
     check("shelling", len(c.facets))
@@ -152,11 +148,9 @@ def shellable(obj: Graph | SimplicialComplex) -> ShellingCertificate | None:
     return ShellingCertificate(tuple(c.full & ~ideal.gens[i] for i in cert.order))
 
 
-def shelling_bruteforce(c: SimplicialComplex | Graph) -> ShellingCertificate | None:
+def shelling_bruteforce(c: SimplicialComplex) -> ShellingCertificate | None:
     """Independent shelling search: backtracking directly over facet orders,
     memoising failed prefix sets."""
-    if isinstance(c, Graph):
-        c = independence_complex(c)
     facets = c.facets
     if len(facets) <= 1:
         return ShellingCertificate(facets)

@@ -15,6 +15,7 @@ ranks from the dense kernels here, not from the package's sparse ones.
 """
 
 import random
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from edgeideals import (BettiTable, build_graph, edge_ideal,
@@ -187,6 +188,49 @@ def random_d_tree_by_subsets(d, steps, seed):
                    if all(e in edges for e in combinations(c, 2))]
         edges.update((u, v) for u in rng.choice(cliques))
     return build_graph(d + 1 + steps, sorted(edges))
+
+
+@lru_cache(maxsize=None)
+def _facets_within(g, within):
+    return maximal_independent_sets(g, within)
+
+
+def sheds_by_facet_sets(g, within, x):
+    """x sheds G[W]: every maximal independent set of G[W - x] is also a
+    maximal independent set of G[W], compared as sets of facets."""
+    within = frozenset(within)
+    facets = set(_facets_within(g, within))
+    return all(f in facets for f in _facets_within(g, within - {x}))
+
+
+def independence_faces(g):
+    """Faces of Ind(G): every independent vertex set, as frozensets."""
+    return frozenset(frozenset(s) for r in range(g.n + 1)
+                     for s in combinations(range(g.n), r)
+                     if is_independent(g, s))
+
+
+def vertex_decomposable_by_faces(faces, memo=None):
+    """Bjorner-Wachs on a complex given as its set of faces: vertex
+    decomposable if it has one facet, or if some vertex v has a vertex
+    decomposable link and deletion and no facet of del(v) is a face of
+    lk(v)."""
+    memo = {} if memo is None else memo
+    if faces in memo:
+        return memo[faces]
+    facets = [f for f in faces if not any(f < h for h in faces)]
+    found = len(facets) == 1
+    for v in sorted(set().union(*faces)):
+        if found:
+            break
+        deletion = frozenset(f for f in faces if v not in f)
+        link = frozenset(f - {v} for f in faces if v in f)
+        sheds = not any(f in link for f in deletion
+                        if not any(f < h for h in deletion))
+        found = (sheds and vertex_decomposable_by_faces(link, memo)
+                 and vertex_decomposable_by_faces(deletion, memo))
+    memo[faces] = found
+    return found
 
 
 def shellable_by_permutation(facets):

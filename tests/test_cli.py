@@ -47,6 +47,13 @@ def test_analyze_from_file(tmp_path, capsys):
     assert report["pd"] == 3
 
 
+def test_a_readable_file_wins_over_a_family_spec(tmp_path, capsys):
+    path = tmp_path / "run:1.txt"
+    path.write_text("3 2\n0 1\n1 2\n")
+    assert main(["betti", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "reg = 1, pd = 2"
+
+
 def test_analyze_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["analyze", "path:2", "--out", str(out)]) == 0

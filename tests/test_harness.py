@@ -4,7 +4,9 @@ import sys
 import pytest
 
 from edgeideals import (CHECKS, GF2, CheckResult, analyze, build_graph,
-                        dtree_family_specs, family, verify_theorems)
+                        complement, dtree_family_specs, family,
+                        recognize_d_tree, verify_theorems)
+from edgeideals.harness import GraphWorkup
 
 
 def test_verify_theorems_small_run_has_no_failures():
@@ -115,6 +117,39 @@ def test_a_subject_builds_its_complex_once_and_runs_no_transversals(monkeypatch)
                 "dual-decomposition"):
         assert status[cid] == "pass"
     assert calls == {"independence_complex": 1, "minimal_hitting_sets": 0}
+
+
+def test_workup_holds_the_complement_facts():
+    w = GraphWorkup(family("pendant_cycle:1"), GF2)
+    assert w.g.max_degree() == 3
+    assert w.chordal
+    assert w.complement_chordal
+    assert w.complement_triangle_free
+    assert w.complement_dtree == recognize_d_tree(complement(w.g))
+
+
+def test_complement_checks_run_no_invariant_search_and_share_the_froberg_gate(
+        monkeypatch):
+    import edgeideals.harness as harness
+
+    calls = {"compute_invariants": 0, "linear_quotient_search": 0}
+    for name in calls:
+        fn = getattr(harness, name)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    g = family("cycle:5")
+    rows = harness._run_payload(
+        ("enumerated", g.n, tuple(g.edges()), None, None,
+         ("trianglefree-complement", "linear-resolution-chordal"), GF2))
+    assert [row["status"] for row in rows] == ["pass", "pass"]
+    assert rows[0]["data"]["complement_chordal"] is False
+    w = GraphWorkup(g, GF2)
+    assert not w.complement_chordal and w.edge_quotients is None
+    assert calls == {"compute_invariants": 0, "linear_quotient_search": 0}
 
 
 def test_unknown_check_is_rejected():

@@ -143,9 +143,5 @@ def test_compute_invariants_report():
     assert report.path_packing == 1
     assert report.whisker_number == 1
     assert report.matching == 2
-    assert report.max_degree == 3
-    assert report.chordal
-    assert report.complement_chordal
-    assert report.complement_triangle_free
     assert validate_matching_witness(family("pendant_cycle:1"),
                                      report.matching_witness)

@@ -27,9 +27,10 @@ def property_certificate_replays(graphs):
         vd = vertex_decomposable(g)
         if vd is not None:
             assert validate_vertex_decomposition(g, vd)
-        sh = shellable(g)
+        c = independence_complex(g)
+        sh = shellable(c)
         if sh is not None:
-            assert validate_shelling(g, sh)
+            assert validate_shelling(c, sh)
         for h in (g, complement(g)):
             dt = recognize_d_tree(h)
             if dt is not None:
@@ -115,7 +116,7 @@ def test_regularity_bounds_share_one_table(connected_through_6):
 def test_vertex_decomposable_implies_shellable(connected_through_6):
     for g in connected_through_6:
         if vertex_decomposable(g) is not None:
-            assert shellable(g) is not None
+            assert shellable(independence_complex(g)) is not None
 
 
 @st.composite

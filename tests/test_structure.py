@@ -4,7 +4,8 @@ import pytest
 
 import _oracles as oracle
 from edgeideals import (GF2, ShellingCertificate, VDLeaf, VDNode, build_graph,
-                        enumerate_graphs, family, independence_complex, is_shedding_vertex,
+                        enumerate_graphs, family, independence_complex,
+                        induced_subgraph, is_shedding_vertex,
                         reducing_vertex, root_shedding_vertex, shellable,
                         shelling_bruteforce, simplicial_complex,
                         validate_shelling, validate_vertex_decomposition,
@@ -32,9 +33,30 @@ def test_vertex_decomposable_frozen():
     assert vertex_decomposable(family("capped_cycle:1")) is not None
 
     leaf = vertex_decomposable(family("edgeless:3"))
-    assert leaf == VDLeaf("simplex")
+    assert leaf == VDLeaf()
     assert root_shedding_vertex(leaf) is None
-    assert vertex_decomposable(build_graph(0, [])) == VDLeaf("empty")
+    assert vertex_decomposable(build_graph(0, [])) == VDLeaf()
+
+
+def test_shedding_matches_the_facet_set_test_on_induced_subgraphs():
+    pairs = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, connected_only=False):
+            for sub in range(1 << n):
+                h, labels = induced_subgraph(g, sub)
+                for i, x in enumerate(labels):
+                    assert is_shedding_vertex(h, i) == \
+                        oracle.sheds_by_facet_sets(g, labels, x), (g, labels, x)
+                    pairs += 1
+    assert pairs == 33081
+
+
+def test_vertex_decomposable_matches_the_face_set_oracle():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, connected_only=False):
+            faces = oracle.independence_faces(g)
+            assert (vertex_decomposable(g) is not None) == \
+                oracle.vertex_decomposable_by_faces(faces), g
 
 
 def test_vertex_decomposition_cap():
@@ -56,17 +78,18 @@ def test_vertex_decomposition_rejects_tampering():
     assert not validate_vertex_decomposition(p4, wrong_vertex)
     swapped = VDNode(cert.vertex, cert.link, cert.deletion)
     assert not validate_vertex_decomposition(p4, swapped)
-    assert not validate_vertex_decomposition(p4, VDLeaf("simplex"))
-    assert not validate_vertex_decomposition(p4, VDLeaf("bogus"))
+    assert not validate_vertex_decomposition(p4, VDLeaf())
 
 
 def test_shellable_frozen():
-    cert = shellable(family("path:3"))
+    p4 = independence_complex(family("path:3"))
+    cert = shellable(p4)
     assert cert is not None
-    assert validate_shelling(family("path:3"), cert)
+    assert validate_shelling(p4, cert)
 
-    assert shellable(family("cycle:4")) is None
-    assert shelling_bruteforce(family("cycle:4")) is None
+    c4 = independence_complex(family("cycle:4"))
+    assert shellable(c4) is None
+    assert shelling_bruteforce(c4) is None
 
     hollow = simplicial_complex(3, [0b011, 0b101, 0b110])
     cert = shellable(hollow)
@@ -84,19 +107,20 @@ def test_shelling_validation_rejects_bad_orders():
     c4 = independence_complex(family("cycle:4"))
     assert not validate_shelling(c4, ShellingCertificate((0b0101, 0b1010)))
     assert not validate_shelling(c4, ShellingCertificate((0b0101,)))
-    p4 = family("path:3")
+    p4 = independence_complex(family("path:3"))
     cert = shellable(p4)
     assert not validate_shelling(p4, ShellingCertificate(cert.facets[:-1]))
 
 
 def test_shellable_agrees_with_bruteforce_on_graphs(graphs_through_5):
     for g in graphs_through_5:
-        via_quotients = shellable(g)
-        via_orders = shelling_bruteforce(g)
+        c = independence_complex(g)
+        via_quotients = shellable(c)
+        via_orders = shelling_bruteforce(c)
         assert (via_quotients is None) == (via_orders is None)
         if via_quotients is not None:
-            assert validate_shelling(g, via_quotients)
-            assert validate_shelling(g, via_orders)
+            assert validate_shelling(c, via_quotients)
+            assert validate_shelling(c, via_orders)
 
 
 def test_shellable_agrees_with_bruteforce_on_random_complexes():
