@@ -438,9 +438,9 @@ def analyze(g: Graph, field: FieldChoice = GF2) -> dict:
             "whisker_number": inv.whisker_number,
             "whisker_witness": [list(p) for p in inv.whisker_witness],
         }
-        report["complement_chordal"] = w.complement_chordal
-        report["complement_triangle_free"] = w.complement_triangle_free
     report["chordal"] = w.chordal
+    report["complement_chordal"] = w.complement_chordal
+    report["complement_triangle_free"] = w.complement_triangle_free
 
     if fits("subset_homology", g.n):
         report["betti"] = [list(t) for t in w.betti.triples()]

@@ -1,11 +1,12 @@
 """Exact simplicial homology ranks and the subset-homology (Hochster)
 computation of graded Betti numbers, over GF(2), GF(p), or the rationals.
 
-GF(2) ranks use bitpacked Gaussian elimination. GF(p) and rational ranks
-use one sparse elimination loop: over GF(p) every nonzero entry is a pivot;
-over Q the entries are integers and only +-1 is a pivot, and the rows left
-with no unit entry go to Bareiss fraction-free elimination on
-arbitrary-precision integers. There is no floating point anywhere.
+A field is its characteristic: FieldChoice(p) for a prime p, FieldChoice()
+for Q. GF(2) ranks use bitpacked Gaussian elimination. GF(p) and rational
+ranks use one sparse elimination loop: over GF(p) every nonzero entry is a
+pivot; over Q it pivots on +-1 entries while there are any, so the rows
+stay integers, and after that on any nonzero entry, scaling its row by an
+exact Fraction. There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -24,25 +25,25 @@ from .limits import check
 
 @dataclass(frozen=True)
 class FieldChoice:
-    """A coefficient field: GF(2) ("gf2"), GF(p) for a prime p below 2^31
-    ("gfp"), or the rationals ("q"). Anything else raises ValueError."""
-    kind: str  # "gf2" | "gfp" | "q"
+    """A coefficient field by its characteristic: GF(p) for a prime p below
+    2^31, or the rationals when p is None. Anything else raises ValueError."""
     p: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gf2", "gfp", "q"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind != "gfp":
-            if self.p is not None:
-                raise ValueError(f"field {self.kind!r} takes no characteristic, got {self.p!r}")
-        elif not (isinstance(self.p, int) and 2 <= self.p < 1 << 31 and _is_prime(self.p)):
+        if self.p is not None and not (isinstance(self.p, int) and 2 <= self.p < 1 << 31
+                                       and _is_prime(self.p)):
             raise ValueError(f"field characteristic must be a prime below 2^31, got {self.p!r}")
 
     @property
+    def kind(self) -> str:
+        """The kernel family: "gf2", "gfp" or "q"."""
+        if self.p is None:
+            return "q"
+        return "gf2" if self.p == 2 else "gfp"
+
+    @property
     def tag(self) -> str:
-        if self.kind == "gfp":
-            return f"gf{self.p}"
-        return self.kind
+        return "q" if self.p is None else f"gf{self.p}"
 
 
 def _is_prime(p: int) -> bool:
@@ -54,9 +55,9 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-GF2 = FieldChoice("gf2")
-GF3 = FieldChoice("gfp", 3)
-Q = FieldChoice("q")
+GF2 = FieldChoice(2)
+GF3 = FieldChoice(3)
+Q = FieldChoice()
 
 
 def parse_field(text: str) -> FieldChoice:
@@ -68,7 +69,7 @@ def parse_field(text: str) -> FieldChoice:
             p = int(t[2:])
         except ValueError:
             raise ValueError(f"bad field {text!r}") from None
-        return GF2 if p == 2 else FieldChoice("gfp", p)
+        return FieldChoice(p)
     raise ValueError(f"bad field {text!r}")
 
 
@@ -85,33 +86,11 @@ def _rank_gf2(vectors: list[int]) -> int:
     return len(lead)
 
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def _boundary_rank(prev_faces: list[int], cur_faces: list[int], field: FieldChoice) -> int:
     if not prev_faces or not cur_faces:
         return 0
     index = {f: i for i, f in enumerate(prev_faces)}
-    if field.kind == "gf2":
+    if field.p == 2:
         vecs = []
         for f in cur_faces:
             v = 0
@@ -128,36 +107,43 @@ def _boundary_rank(prev_faces: list[int], cur_faces: list[int], field: FieldChoi
 def _rank_sparse(rows: list[dict[int, int]], p: int | None) -> int:
     """Rank of the rows {column: entry}, which it consumes: over GF(p) with
     entries in 0..p-1, where every nonzero entry is a unit, or over Q (p is
-    None) with integer entries, pivoting only on +-1. Adding integer
-    multiples of a row with a unit pivot is unimodular, so it keeps the rank
-    over every field."""
+    None) with integer entries. Over Q a round pivots only on +-1, which keeps
+    the entries integers; after a round that makes no pivot, the next one
+    pivots on any nonzero entry."""
     # pivots[order[c]]: (c, the rest of the row that pivots on column c,
     # scaled to a 1 there); it is zero on every column that pivoted before it
     pivots: list[tuple[int, dict[int, int]]] = []
     order: dict[int, int] = {}
-    grew = True
-    while rows and grew:
+    units_only = p is None
+    while rows:
         grew = False
         left = []
         for row in rows:
             _clear_pivot_columns(row, pivots, order, p)
-            c = next((c for c, x in row.items() if p or x in (1, -1)), None)
+            c = next((c for c, x in row.items() if not units_only or x in (1, -1)), None)
             if c is None:
                 if row:
                     left.append(row)
                 continue
-            scale = pow(row.pop(c), -1, p) if p else row.pop(c)
+            x = row.pop(c)
+            if p:
+                scale = pow(x, -1, p)
+            elif x in (1, -1):
+                scale = x
+            else:
+                # imported here, not at the top: fractions also loads
+                # decimal, which adds milliseconds to every start of the
+                # package, and most runs never reach this branch
+                from fractions import Fraction
+                scale = Fraction(1, x)
             order[c] = len(pivots)
             pivots.append((c, {c2: x * scale % p if p else x * scale
                                for c2, x in row.items()}))
             grew = True
+        # after a round that made no pivot, no row has a unit entry left
+        units_only = units_only and grew
         rows = left
-    # rows with no unit entry, cleared by a last round that made no pivot:
-    # zero on every pivot column, so their rank adds to the pivot count
-    if not rows:
-        return len(pivots)
-    cols = sorted({c for row in rows for c in row})
-    return len(pivots) + _rank_bareiss([[row.get(c, 0) for c in cols] for row in rows])
+    return len(pivots)
 
 
 def _clear_pivot_columns(row: dict[int, int], pivots: list[tuple[int, dict[int, int]]],
@@ -196,7 +182,7 @@ def _ranks_from_faces(faces: list[int], field: FieldChoice) -> dict[int, int]:
     by_dim: dict[int, list[int]] = {}
     for f in faces:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    top = max(by_dim)
+    top = max(by_dim, default=-2)
     brank = {d: _boundary_rank(by_dim[d - 1], by_dim[d], field)
              for d in range(0, top + 1)}
     out = {}
@@ -213,8 +199,6 @@ def reduced_homology_ranks(c: SimplicialComplex, field: FieldChoice = GF2) -> di
     complex has no faces and an empty rank table.
     """
     check("homology", c.ground)
-    if c.is_void:
-        return {}
     return _ranks_from_faces(c.faces(), field)
 
 

@@ -119,12 +119,15 @@ def test_package_imports_without_site_packages():
     # no runtime dependency: -S leaves site-packages off sys.path, and -I
     # ignores PYTHONPATH, so only the standard library and src are there
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    # fractions, which also loads decimal, is imported only by a rational
+    # rank that needs a non-unit pivot
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
             "import edgeideals, edgeideals.cli; "
-            "print(any('site-packages' in p for p in sys.path))")
+            "print(any('site-packages' in p for p in sys.path), "
+            "'fractions' in sys.modules)")
     run = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "False False"
 
 
 def test_generate_count(capsys):
@@ -142,7 +145,7 @@ def test_generate_blocks_parse_back(capsys):
         parse_input(block)
 
 
-def test_bad_input_exits_2(capsys):
+def test_bad_input_exits_2(capsys, tmp_path):
     assert main(["analyze", "no_such_family:3"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["analyze", "/nonexistent/file.txt"]) == 2
@@ -150,6 +153,13 @@ def test_bad_input_exits_2(capsys):
     assert main(["betti", "cycle:5", "--field", "gf4"]) == 2
     capsys.readouterr()
     assert main(["verify", "--max-n", "2", "--theorems", "bogus"]) == 2
+    capsys.readouterr()
+    # an output path that cannot be written is an output error, not a
+    # failed check
+    assert main(["analyze", "path:3", "--out", str(tmp_path / "missing" / "x.json")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["verify", "--max-n", "2", "--tsv", str(tmp_path / "missing" / "x.tsv")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_field_option(capsys):

@@ -1,5 +1,8 @@
 import random
 import signal
+import sys
+import types
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -154,14 +157,20 @@ def test_parse_field():
 
 
 def test_field_choice_rejects_non_fields():
-    assert FieldChoice("gfp", 5).tag == "gf5"
-    assert FieldChoice("gfp", 2147483647).tag == "gf2147483647"
-    bad = [("gfp", 4), ("gfp", None), ("gfp", 1), ("gfp", 0), ("gfp", -3),
-           ("gfp", 3.0), ("gfp", "3"), ("gfp", 2147483659), ("gfp", 2 ** 61 - 1),
-           ("gf2", 2), ("q", 3), ("gf3", None), ("GF2", None), ("z", None)]
-    for kind, p in bad:
+    assert FieldChoice(5).tag == "gf5"
+    assert FieldChoice(2147483647).tag == "gf2147483647"
+    for p in (4, 1, 0, -3, 3.0, "3", 2147483659, 2 ** 61 - 1):
         with pytest.raises(ValueError):
-            FieldChoice(kind, p)
+            FieldChoice(p)
+
+
+def test_a_field_is_its_characteristic():
+    # one value per field: GF(2) has no second spelling
+    assert FieldChoice(2) == GF2 == parse_field("gf2")
+    assert FieldChoice() == Q
+    assert [f.kind for f in (GF2, GF3, FieldChoice(1009), Q)] == ["gf2", "gfp", "gfp", "q"]
+    for f in (GF2, GF3, Q, FieldChoice(1009)):
+        assert parse_field(f.tag) == f
 
 
 def test_reg_pd_frozen():
@@ -250,8 +259,8 @@ def test_restriction_pass_runs_the_rank_kernel_on_few_subsets(monkeypatch):
     assert len(calls) < 200
 
 
-_GF5 = FieldChoice("gfp", 5)
-_GF1009 = FieldChoice("gfp", 1009)
+_GF5 = FieldChoice(5)
+_GF1009 = FieldChoice(1009)
 
 
 def _stanley_reisner_faces(ideal):
@@ -268,9 +277,10 @@ def _kernel_inputs():
 
 
 def test_sparse_kernel_matches_dense_oracle():
-    # GF(p) for p = 2 too: the sparse loop mod 2 against xor elimination
+    # FieldChoice(2) is GF2, the packed xor kernel; the sparse loop mod 2 is
+    # driven by the integer-matrix test below
     for faces in _kernel_inputs():
-        for field in (GF3, _GF5, _GF1009, Q, FieldChoice("gfp", 2)):
+        for field in (GF3, _GF5, _GF1009, Q, FieldChoice(2)):
             assert (homology._ranks_from_faces(faces, field)
                     == oracle.ranks_from_faces(faces, field)), (faces, field)
 
@@ -291,25 +301,31 @@ def test_sparse_rank_matches_dense_oracle_on_integer_matrices():
             assert homology._rank_sparse(rows, p) == expect, (dense, p)
 
 
-def test_rational_kernel_reaches_bareiss_only_on_a_residual(monkeypatch):
-    calls = []
-    bareiss = homology._rank_bareiss
+def test_rational_kernel_takes_a_fraction_pivot_only_on_a_residual(monkeypatch):
+    # the kernel imports Fraction when it first needs a non-unit pivot, so a
+    # stand-in fractions module counts those pivots
+    pivots = []
 
-    def counting(rows):
-        calls.append(len(rows))
-        return bareiss(rows)
+    def counting(*args):
+        pivots.append(args)
+        return Fraction(*args)
 
-    monkeypatch.setattr(homology, "_rank_bareiss", counting)
+    monkeypatch.setitem(sys.modules, "fractions",
+                        types.SimpleNamespace(Fraction=counting))
     rp2 = simplicial_complex(6, [mask_of(t) for t in _PROJECTIVE_PLANE])
     # H_1(RP^2; Z) = Z/2: the boundary of the triangles has an invariant
     # factor 2, which no sequence of unit pivots can clear
     assert reduced_homology_ranks(rp2, Q) == {-1: 0, 0: 0, 1: 0, 2: 0}
-    assert calls and all(calls)
-    calls.clear()
+    assert pivots and all(x not in (1, -1) for _, x in pivots)
+    pivots.clear()
     for faces in _kernel_inputs():
         for field in (GF3, _GF5, _GF1009):
             homology._ranks_from_faces(faces, field)
-    assert calls == []
+    assert pivots == []
+    # the first kernel input is that RP^2; unit pivots clear all the others
+    for faces in list(_kernel_inputs())[1:]:
+        homology._ranks_from_faces(faces, Q)
+    assert pivots == []
 
 
 def test_twelve_variable_cover_ideals_within_budget():

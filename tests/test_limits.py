@@ -106,4 +106,6 @@ def test_analyze_path_60_keeps_only_the_cheap_sections():
     for key in ("canonical", "invariants", "betti", "vertex_decomposable", "shellable"):
         assert key not in report
     assert report["chordal"] is True
+    assert report["complement_chordal"] is False
+    assert report["complement_triangle_free"] is False
     assert report["dtree"] == 1
