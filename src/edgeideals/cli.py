@@ -71,6 +71,15 @@ def _write_json(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing path would raise, and leave no new
+    file behind."""
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _write_tsv(results: list[dict], path: str) -> None:
     with open(path, "w") as fh:
         fh.write("check\tstatus\tvertices\tedges\tfamily\treason\tdata\n")
@@ -100,6 +109,9 @@ def cmd_verify(args) -> int:
         if value.lower() not in ("1", "true", "0", "false", ""):
             raise ValueError(f"EDGEIDEALS_CONNECTED must be 1, true, 0 or false: {value!r}")
         args.connected = value.lower() in ("1", "true")
+    for path in (args.out, args.tsv):
+        if path:
+            _check_writable(path)
     report = verify_theorems(
         max_n=args.max_n, connected_only=args.connected, checks=checks,
         field=parse_field(args.field), seed=args.seed, jobs=args.jobs,

@@ -39,34 +39,61 @@ def _best_compatible(units: list[tuple[int, ...]], compatible) -> list[tuple[int
     """Largest set of pairwise vertex-disjoint units that also pass the pair
     predicate compatible(earlier, later) (a max clique in the compatibility
     graph), with the first such set in lexicographic exploration order as
-    witness."""
+    witness.
+
+    The search takes units in ascending index, first with and then without
+    each one. Two bounds cap how many more units a branch can add to the
+    chosen ones: the number of candidates left, and, tested only when that
+    count does not cut, free // smin. Here free counts the unit vertices no
+    chosen unit uses, and smin is the smallest unit size among the
+    candidates; they fit in the free vertices, since they are pairwise
+    disjoint and miss every chosen unit. A branch is cut only when it
+    cannot strictly beat the best set found, so the witness is the one the
+    search bounded by the candidate count alone finds in the same order.
+    """
+    # the search only adds units after the last one it took, so compat[i]
+    # holds the compatible units j > i only
     masks = [mask_of(u) for u in units]
-    compat = [0] * len(units)
-    for i in range(len(units)):
+    compat: list[int] = []
+    of_size: dict[int, int] = {}
+    used = 0
+    for i, u in enumerate(units):
+        m = masks[i]
+        row = 0
         for j in range(i + 1, len(units)):
-            if not masks[i] & masks[j] and compatible(units[i], units[j]):
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
+            if not m & masks[j] and compatible(u, units[j]):
+                row |= 1 << j
+        compat.append(row)
+        of_size[len(u)] = of_size.get(len(u), 0) | 1 << i
+        used |= m
+    by_size = sorted(of_size.items())
     best = 0
     best_set: list[int] = []
 
-    def expand(chosen: list[int], cand: int) -> None:
+    def expand(chosen: list[int], cand: int, free: int) -> None:
         nonlocal best, best_set
         if cand == 0:
             if len(chosen) > best:
                 best, best_set = len(chosen), chosen[:]
             return
-        if len(chosen) + cand.bit_count() <= best:
-            return
         while cand:
+            room = best - len(chosen)
+            if cand.bit_count() <= room:
+                return
+            for size, mask in by_size:
+                if cand & mask:
+                    break
+            if free // size <= room:
+                return
             b = cand & -cand
             v = b.bit_length() - 1
             cand ^= b
-            expand(chosen + [v], cand & compat[v])
-            if len(chosen) + 1 + cand.bit_count() <= best:
-                return
+            expand(chosen + [v], cand & compat[v], free - len(units[v]))
 
-    expand([], (1 << len(units)) - 1)
+    expand([], (1 << len(units)) - 1, used.bit_count())
+    # expand refers to itself through its closure; dropping the name breaks
+    # that cycle, so the search's state is freed now, not by the cyclic GC
+    del expand
     return [units[i] for i in best_set]
 
 

@@ -12,6 +12,8 @@ and serve as the reference for that pass. Last is the restriction pass
 without homotopy reductions, which computes every non-face restriction; it
 is the reference for the pass that skips cones and folds. Both take their
 ranks from the dense kernels here, not from the package's sparse ones.
+The very last is the invariant search bounded only by its candidate count,
+the reference for the package's search with the vertex-capacity bound.
 """
 
 import random
@@ -21,7 +23,7 @@ from itertools import combinations, permutations
 from edgeideals import (BettiTable, build_graph, edge_ideal,
                         induced_subgraph, minimal_hitting_sets,
                         simplicial_complex)
-from edgeideals.bitsets import bits, compress, submasks
+from edgeideals.bitsets import bits, compress, mask_of, submasks
 from edgeideals.limits import check
 
 
@@ -471,3 +473,38 @@ def restriction_homology_unreduced(ideal, field):
         nonface[s] = s in gens or any(nonface[s ^ (1 << b)] for b in bits(s))
         if nonface[s] or not s:
             yield s, ranks_from_faces([f for f in submasks(s) if not nonface[f]], field)
+
+
+def best_compatible_by_count(units, compatible):
+    """The search of `invariants._best_compatible` bounded only by the
+    number of candidates left: the same exploration order (ascending unit
+    index, each unit first taken, then deleted), so the same first maximum
+    as witness."""
+    masks = [mask_of(u) for u in units]
+    compat = [0] * len(units)
+    for i in range(len(units)):
+        for j in range(i + 1, len(units)):
+            if not masks[i] & masks[j] and compatible(units[i], units[j]):
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
+    best = 0
+    best_set = []
+
+    def expand(chosen, cand):
+        nonlocal best, best_set
+        if cand == 0:
+            if len(chosen) > best:
+                best, best_set = len(chosen), chosen[:]
+            return
+        if len(chosen) + cand.bit_count() <= best:
+            return
+        while cand:
+            b = cand & -cand
+            v = b.bit_length() - 1
+            cand ^= b
+            expand(chosen + [v], cand & compat[v])
+            if len(chosen) + 1 + cand.bit_count() <= best:
+                return
+
+    expand([], (1 << len(units)) - 1)
+    return [units[i] for i in best_set]

@@ -162,6 +162,19 @@ def test_bad_input_exits_2(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--out", "--tsv"])
+def test_verify_refuses_an_unwritable_output_before_the_run(option, monkeypatch,
+                                                           tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr("edgeideals.cli.verify_theorems",
+                        lambda **kw: calls.append(kw))
+    assert main(["verify", "--max-n", "6", option,
+                 str(tmp_path / "MISSING" / "x")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_field_option(capsys):
     assert main(["analyze", "complete:3", "--field", "q"]) == 0
     assert json.loads(capsys.readouterr().out)["field"] == "q"

@@ -1,8 +1,12 @@
+import random
+import signal
+
 import pytest
 
 import _oracles as oracle
-from edgeideals import (build_graph, compute_invariants, family,
-                        induced_matching_number, is_induced_matching_pair,
+from edgeideals import (GF2, analyze, build_graph, compute_invariants,
+                        enumerate_graphs, family, induced_matching_number,
+                        invariants, is_induced_matching_pair,
                         is_triangle_free, matching_number,
                         path_packing_number, whisker_number)
 from edgeideals.invariants import (validate_induced_matching_witness,
@@ -145,3 +149,50 @@ def test_compute_invariants_report():
     assert report.matching == 2
     assert validate_matching_witness(family("pendant_cycle:1"),
                                      report.matching_witness)
+
+
+def _random_graph(n, tenths, seed):
+    """G(n, tenths / 10) from random.Random(seed)."""
+    rng = random.Random(seed)
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if rng.randrange(10) < tenths])
+
+
+def _searched(g):
+    return compute_invariants(g), path_packing_number(g, induced_paths=True)
+
+
+def test_bounded_search_matches_the_count_only_oracle(monkeypatch):
+    subjects = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    subjects += [_random_graph(n, tenths, seed) for seed, (n, tenths) in
+                 enumerate([(8, 3), (8, 7), (9, 5), (9, 8), (10, 4), (10, 6)])]
+    bounded = [_searched(g) for g in subjects]
+    monkeypatch.setattr(invariants, "_best_compatible",
+                        oracle.best_compatible_by_count)
+    for g, found in zip(subjects, bounded):
+        assert _searched(g) == found, g.edges()
+
+
+def test_dense_sixteen_vertex_graphs_within_budget():
+    def give_up(signum, frame):
+        raise TimeoutError("dense 16-vertex invariant searches took more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        report = analyze(family("complete:16"), GF2)
+        dense = _random_graph(16, 8, 3)
+        inv = compute_invariants(dense)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert {k: v for k, v in report["invariants"].items()
+            if not k.endswith("_witness")} == {
+        "matching": 8, "induced_matching": 1, "path_packing": 5,
+        "whisker_number": 1}
+    assert inv.matching == 8
+    assert validate_matching_witness(dense, inv.matching_witness)
+    assert validate_induced_matching_witness(dense, inv.induced_matching_witness)
+    assert validate_path_packing_witness(dense, inv.path_packing_witness)
+    assert validate_whisker_witness(dense, inv.whisker_witness)
+    assert inv.induced_matching <= inv.path_packing <= inv.matching
