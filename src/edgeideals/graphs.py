@@ -58,11 +58,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class DTreeCertificate:
-    """Elimination record for a k-tree: peeled simplicial vertices with the
-    clique each one attached to, ending at a (d+1)-clique."""
+    """A d-tree's elimination order: each vertex has exactly min(d, number
+    of later vertices) later neighbours, and they form a clique."""
 
     d: int
-    elimination: tuple[tuple[int, int], ...]  # (vertex, attachment clique mask)
+    order: tuple[int, ...]
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -198,50 +198,39 @@ def is_chordal(g: Graph):
 
 def recognize_d_tree(g: Graph) -> DTreeCertificate | None:
     """Recognise g as a d-tree (K_{d+1}, or a d-tree plus a new vertex glued
-    to a d-clique).  The only viable d is n-1 for complete graphs and the
-    minimum degree otherwise; peel simplicial degree-d vertices, lowest
-    index first, until a (d+1)-clique remains.
+    to a d-clique) and certify it by an elimination order.
+
+    A d-tree on n vertices has minimum degree d and d*n - d(d+1)/2 edges.
+    In a d-tree with more than d+1 vertices every simplicial vertex has
+    degree d, and removing one leaves a d-tree (Rose, Discrete Math. 7,
+    1974), so the simplicial peel of is_chordal is a d-tree's elimination
+    order; the validator replays it.
     """
     if g.n == 0:
         return None
-    if _is_clique(g, g.full):
-        return DTreeCertificate(g.n - 1, ())
     d = min(g.degree(v) for v in range(g.n))
-    remaining = g.full
-    elim = []
-    while remaining.bit_count() > d + 1:
-        found = -1
-        for v in bits(remaining):
-            nb = g.adj[v] & remaining
-            if nb.bit_count() == d and _is_clique(g, nb):
-                found = v
-                break
-        if found < 0:
-            return None
-        elim.append((found, g.adj[found] & remaining & ~(1 << found)))
-        remaining &= ~(1 << found)
-    if not _is_clique(g, remaining):
+    if g.edge_count() != d * g.n - d * (d + 1) // 2:
         return None
-    return DTreeCertificate(d, tuple(elim))
+    order = is_chordal(g)
+    if order is None:
+        return None
+    cert = DTreeCertificate(d, tuple(order))
+    return cert if validate_d_tree_certificate(g, cert) else None
 
 
 def validate_d_tree_certificate(g: Graph, cert: DTreeCertificate) -> bool:
-    """Replay: rebuild g from the base clique by re-attaching the eliminated
-    vertices in reverse order, checking each attachment set exactly."""
-    current = g.full
-    for v, _ in cert.elimination:
-        current &= ~(1 << v)
-    if current.bit_count() != cert.d + 1 or not _is_clique(g, current):
+    """Replay: the order is a permutation of the vertices, 0 <= d < n, and
+    every vertex keeps the rule of DTreeCertificate."""
+    n, order = g.n, cert.order
+    if not 0 <= cert.d < n or sorted(order) != list(range(n)):
         return False
-    for v, clique in reversed(cert.elimination):
-        if clique.bit_count() != cert.d or clique & ~current:
+    later = g.full
+    for i, v in enumerate(order):
+        later &= ~(1 << v)
+        nb = g.adj[v] & later
+        if nb.bit_count() != min(cert.d, n - 1 - i) or not _is_clique(g, nb):
             return False
-        if not _is_clique(g, clique):
-            return False
-        if g.adj[v] & current != clique:
-            return False
-        current |= 1 << v
-    return current == g.full
+    return True
 
 
 def _path(k: int) -> Graph:

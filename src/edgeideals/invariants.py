@@ -165,7 +165,13 @@ def is_triangle_free(g: Graph) -> bool:
     return all(not g.adj[u] & g.adj[v] for u, v in g.edges())
 
 
+def _in_range(g: Graph, groups) -> bool:
+    return all(0 <= v < g.n for group in groups for v in group)
+
+
 def validate_matching_witness(g: Graph, edges: list[tuple[int, int]]) -> bool:
+    if not _in_range(g, edges):
+        return False
     used = 0
     for u, v in edges:
         m = mask_of((u, v))
@@ -184,6 +190,8 @@ def validate_induced_matching_witness(g: Graph, edges: list[tuple[int, int]]) ->
 
 def validate_path_packing_witness(g: Graph, paths: list[tuple[int, ...]],
                                   induced_paths: bool = False) -> bool:
+    if not _in_range(g, paths):
+        return False
     used = 0
     for p in paths:
         m = mask_of(p)
@@ -206,6 +214,8 @@ def validate_path_packing_witness(g: Graph, paths: list[tuple[int, ...]],
 
 
 def validate_whisker_witness(g: Graph, pairs: list[tuple[int, int]]) -> bool:
+    if not _in_range(g, pairs):
+        return False
     a_mask = mask_of(a for a, _ in pairs)
     b_list = [b for _, b in pairs]
     if a_mask.bit_count() != len(pairs) or len(set(b_list)) != len(pairs):

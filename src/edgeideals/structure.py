@@ -99,7 +99,7 @@ def validate_vertex_decomposition(g: Graph, cert: VDCert) -> bool:
         if isinstance(node, VDLeaf):
             return _edgeless_within(g, sub)
         x = node.vertex
-        if not sub >> x & 1 or not _sheds(g, sub, x):
+        if x < 0 or not sub >> x & 1 or not _sheds(g, sub, x):
             return False
         smaller = sub & ~(1 << x)
         return walk(node.deletion, smaller) and walk(node.link, smaller & ~g.adj[x])

@@ -12,8 +12,10 @@ and serve as the reference for that pass. Last is the restriction pass
 without homotopy reductions, which computes every non-face restriction; it
 is the reference for the pass that skips cones and folds. Both take their
 ranks from the dense kernels here, not from the package's sparse ones.
-The very last is the invariant search bounded only by its candidate count,
-the reference for the package's search with the vertex-capacity bound.
+Next is the invariant search bounded only by its candidate count, the
+reference for the package's search with the vertex-capacity bound. The
+very last is the degree-d simplicial peel that recognised d-trees before
+the chordal peel did, the reference for `recognize_d_tree`.
 """
 
 import random
@@ -508,3 +510,34 @@ def best_compatible_by_count(units, compatible):
 
     expand([], (1 << len(units)) - 1)
     return [units[i] for i in best_set]
+
+
+def recognize_d_tree_by_degree_peel(g):
+    """(d, eliminated vertices) if g is a d-tree, else None: d is n - 1 for a
+    complete graph and the minimum degree otherwise; simplicial vertices of
+    degree d are peeled, lowest index first, until a (d+1)-clique remains."""
+
+    def is_clique(mask):
+        return all(g.adj[v] & mask == mask & ~(1 << v) for v in bits(mask))
+
+    if g.n == 0:
+        return None
+    if is_clique(g.full):
+        return g.n - 1, ()
+    d = min(g.degree(v) for v in range(g.n))
+    remaining = g.full
+    elim = []
+    while remaining.bit_count() > d + 1:
+        found = -1
+        for v in bits(remaining):
+            nb = g.adj[v] & remaining
+            if nb.bit_count() == d and is_clique(nb):
+                found = v
+                break
+        if found < 0:
+            return None
+        elim.append(found)
+        remaining &= ~(1 << found)
+    if not is_clique(remaining):
+        return None
+    return d, tuple(elim)

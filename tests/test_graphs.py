@@ -139,12 +139,12 @@ def test_chordal_examples():
 def test_recognize_d_tree_frozen_cases():
     k3 = family("complete:3")
     cert = recognize_d_tree(k3)
-    assert cert == DTreeCertificate(2, ())
+    assert cert == DTreeCertificate(2, (0, 1, 2))
 
     p3 = family("path:3")
     cert = recognize_d_tree(p3)
     assert cert is not None and cert.d == 1
-    assert len(cert.elimination) == 2
+    assert cert.order == (0, 1, 2, 3)
     assert validate_d_tree_certificate(p3, cert)
 
     assert recognize_d_tree(family("cycle:4")) is None
@@ -171,13 +171,43 @@ def test_recognize_d_tree_against_backtracking(graphs_through_5):
 def test_d_tree_certificate_rejects_tampering():
     g = family("path:3")
     cert = recognize_d_tree(g)
+    order = cert.order
     assert validate_d_tree_certificate(g, cert)
-    assert not validate_d_tree_certificate(g, DTreeCertificate(cert.d + 1, cert.elimination))
-    assert not validate_d_tree_certificate(g, DTreeCertificate(cert.d, ()))
-    if cert.elimination:
-        v, clique = cert.elimination[0]
-        bad = ((v, clique ^ 1),) + cert.elimination[1:]
-        assert not validate_d_tree_certificate(g, DTreeCertificate(cert.d, bad))
+    swapped = (order[1], order[0]) + order[2:]  # 1 first: two later neighbours
+    for d, bad in [(cert.d + 1, order), (cert.d, ()), (cert.d, swapped),
+                   (cert.d, (0, 1, 2, 2)), (cert.d, (0, 1, 2)),
+                   (cert.d, (0, 1, 2, 3, 4)), (cert.d, (-1, 0, 1, 2)),
+                   (-1, order)]:
+        assert not validate_d_tree_certificate(g, DTreeCertificate(d, bad))
+    assert not validate_d_tree_certificate(build_graph(0, []),
+                                           DTreeCertificate(0, ()))
+
+
+def _degree_peel_agrees(g):
+    cert = recognize_d_tree(g)
+    old = oracle.recognize_d_tree_by_degree_peel(g)
+    assert (cert is None) == (old is None), g
+    if cert is None:
+        return False
+    d, elimination = old
+    assert cert.d == d, g
+    assert cert.order[:g.n - d - 1] == elimination, g
+    assert validate_d_tree_certificate(g, cert)
+    return True
+
+
+def test_recognize_d_tree_matches_the_degree_peel():
+    graphs = [g for n in range(8) for g in enumerate_graphs(n)]
+    graphs += [family(spec) for spec in dtree_family_specs(0)]
+    rng = random.Random(12)
+    for _ in range(300):
+        d, steps = rng.randint(1, 5), rng.randint(0, 20)
+        g = family(f"dtree:{d},{steps},{rng.randrange(1000)}")
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(_relabelled(g, perm))
+    found = sum(_degree_peel_agrees(h) for g in graphs for h in (g, complement(g)))
+    assert found > 300 + len(dtree_family_specs(0))
 
 
 def test_family_shapes():

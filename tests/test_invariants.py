@@ -4,15 +4,30 @@ import signal
 import pytest
 
 import _oracles as oracle
-from edgeideals import (GF2, analyze, build_graph, compute_invariants,
-                        enumerate_graphs, family, induced_matching_number,
-                        invariants, is_induced_matching_pair,
-                        is_triangle_free, matching_number,
-                        path_packing_number, whisker_number)
+from edgeideals import (GF2, VDLeaf, VDNode, analyze, build_graph,
+                        compute_invariants, enumerate_graphs, family,
+                        induced_matching_number, invariants,
+                        is_induced_matching_pair, is_triangle_free,
+                        matching_number, path_packing_number,
+                        validate_vertex_decomposition, whisker_number)
 from edgeideals.invariants import (validate_induced_matching_witness,
                                    validate_matching_witness,
                                    validate_path_packing_witness,
                                    validate_whisker_witness)
+
+
+@pytest.mark.parametrize("validate, witness", [
+    (validate_vertex_decomposition, VDNode(-1, VDLeaf(), VDLeaf())),
+    (validate_matching_witness, [(0, -1)]),
+    (validate_induced_matching_witness, [(0, -1)]),
+    (validate_path_packing_witness, [(0, 1, -2)]),
+    (validate_whisker_witness, [(-1, 0)]),
+    (validate_matching_witness, [(9, 0)]),
+    (validate_path_packing_witness, [(9, 0)]),
+    (validate_whisker_witness, [(9, 0)]),
+])
+def test_validators_reject_vertices_outside_the_graph(validate, witness):
+    assert not validate(family("path:3"), witness)
 
 
 def test_induced_matching_pair_frozen():
