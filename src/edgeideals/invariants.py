@@ -14,32 +14,30 @@ from .graphs import Graph
 from .limits import check
 
 
-def _edges_within(g: Graph, mask: int) -> int:
-    return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
-
-
 def is_induced_matching_pair(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> bool:
     """True iff the disjoint edges e and f induce no third edge between
     their endpoints (the four endpoints induce exactly two edges)."""
     for u, v in (e, f):
         if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
             raise ValueError(f"{(u, v)} is not an edge")
-    span = mask_of(e) | mask_of(f)
-    if span.bit_count() != 4:
+    if (mask_of(e) | mask_of(f)).bit_count() != 4:
         raise ValueError("edges share an endpoint")
-    return _edges_within(g, span) == 2
+    return _pair_induced(g, e, f)
 
 
 def _pair_induced(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> bool:
-    span = mask_of(e) | mask_of(f)
-    return span.bit_count() == 4 and _edges_within(g, span) == 2
+    # f's endpoints avoid N(a) | N(b), which holds a and b since e is an
+    # edge, so a shared endpoint fails the test too
+    (a, b), (c, d) = e, f
+    return not (g.adj[a] | g.adj[b]) & ((1 << c) | (1 << d))
 
 
 def _best_compatible(units: list[tuple[int, ...]], compatible) -> list[tuple[int, ...]]:
     """Largest set of pairwise vertex-disjoint units that also pass the pair
     predicate compatible(earlier, later) (a max clique in the compatibility
     graph), with the first such set in lexicographic exploration order as
-    witness.
+    witness. The predicate is asked only about two two-vertex units: a
+    longer unit goes with every unit it is disjoint from.
 
     The search takes units in ascending index, first with and then without
     each one. Two bounds cap how many more units a branch can add to the
@@ -61,7 +59,8 @@ def _best_compatible(units: list[tuple[int, ...]], compatible) -> list[tuple[int
         m = masks[i]
         row = 0
         for j in range(i + 1, len(units)):
-            if not m & masks[j] and compatible(u, units[j]):
+            if not m & masks[j] and (len(u) > 2 or len(units[j]) > 2
+                                     or compatible(u, units[j])):
                 row |= 1 << j
         compat.append(row)
         of_size[len(u)] = of_size.get(len(u), 0) | 1 << i

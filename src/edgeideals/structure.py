@@ -13,7 +13,7 @@ from typing import Iterable, Union
 
 from .bitsets import bits
 from .complexes import SimplicialComplex, _facet_complements
-from .graphs import Graph, maximal_independent_sets
+from .graphs import Graph
 from .homology import GF2, FieldChoice, restriction_homology
 from .ideals import edge_ideal, linear_quotient_search
 from .limits import check
@@ -41,8 +41,36 @@ VDCert = Union[VDNode, VDLeaf]
 
 def _sheds(g: Graph, sub: int, x: int) -> bool:
     """x sheds g[sub]: every maximal independent set of g[sub - x] meets
-    N(x), so it stays maximal in g[sub]."""
-    return all(f & g.adj[x] for f in maximal_independent_sets(g, sub & ~(1 << x)))
+    N(x), so it stays maximal in g[sub].
+
+    A set that misses N(x) is maximal in g[sub - x] iff it is maximal in
+    g[sub - N[x]] and its neighbourhood holds N(x) within sub, so x sheds
+    iff g[sub - N[x]] has no such set."""
+    near = g.adj[x] & sub
+    return not _dominating_mis(g.adj, near, 0, sub & ~near & ~(1 << x), 0)
+
+
+def _dominating_mis(adj: tuple[int, ...], near: int, r: int, p: int, q: int) -> bool:
+    """Bron-Kerbosch for a maximal independent set F, with r within F within
+    r + p and no vertex of q addable, whose neighbourhood holds near. It
+    stops at the first such F, and leaves a branch once the neighbourhood
+    of r + p misses a vertex of near, so a vertex that does not shed costs
+    about one branch, not every maximal independent set."""
+    reach = 0
+    for v in bits(r | p):
+        reach |= adj[v]
+    if near & ~reach:
+        return False
+    if not p:
+        return not q
+    pivot = max(bits(p | q), key=lambda v: (p & ~adj[v]).bit_count())
+    for v in bits(p & (adj[pivot] | 1 << pivot)):
+        b = 1 << v
+        if _dominating_mis(adj, near, r | b, p & ~adj[v] & ~b, q & ~adj[v]):
+            return True
+        p &= ~b
+        q |= b
+    return False
 
 
 def is_shedding_vertex(g: Graph, x: int) -> bool:
@@ -56,13 +84,36 @@ def _edgeless_within(g: Graph, sub: int) -> bool:
     return all(not g.adj[v] & sub for v in bits(sub))
 
 
+def _edges_connected(g: Graph, sub: int) -> bool:
+    """True iff the edges of Ind(g[sub]), its non-adjacent pairs, form one
+    connected graph on the vertices they touch (vacuously if there are
+    none): the pure 1-skeleton is then connected."""
+    touched = 0
+    for v in bits(sub):
+        if sub & ~g.adj[v] & ~(1 << v):
+            touched |= 1 << v
+    reached = frontier = touched & -touched
+    while frontier:
+        grow = 0
+        for v in bits(frontier):
+            grow |= sub & ~g.adj[v]
+        frontier = grow & ~reached
+        reached |= frontier
+    return reached == touched
+
+
 def vertex_decomposable(g: Graph) -> VDCert | None:
     """Recursive vertex-decomposition certificate for the independence
     complex of g, or None.
 
     Shedding candidates are tried in ascending vertex order; the deletion
     branch drops the vertex, the link branch drops its closed neighbourhood.
-    Results are memoised on the vertex subset of the original graph.
+    Results are memoised on the vertex subset of the original graph. A
+    subset whose complex has a disconnected pure 1-skeleton fails without
+    a search: a vertex-decomposable complex is sequentially Cohen-Macaulay,
+    so its pure skeleta are Cohen-Macaulay (Duval) and, from dimension 1
+    on, connected. This only cuts branches that fail anyway, so the
+    certificate is the one the full search finds.
     """
     check("vertex_decomposition", g.n)
     memo: dict[int, VDCert | None] = {}
@@ -72,6 +123,8 @@ def vertex_decomposable(g: Graph) -> VDCert | None:
             return memo[sub]
         if _edgeless_within(g, sub):
             cert: VDCert | None = VDLeaf()
+        elif not _edges_connected(g, sub):
+            cert = None
         else:
             cert = None
             for x in bits(sub):

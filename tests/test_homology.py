@@ -227,6 +227,18 @@ def test_restriction_pass_matches_unreduced_oracle():
     rp2 = minimal_nonfaces(
         simplicial_complex(6, [mask_of(t) for t in _PROJECTIVE_PLANE]))
     ideals = [rp2, squarefree_ideal(7, rp2.gens), *_random_ideals(60, 5)]
+    # the isolated-point corners: generators that are variables, which are
+    # no points; complete graphs, where every S with two or more vertices
+    # has one
+    ideals += [squarefree_ideal(2, [0b01, 0b10]), squarefree_ideal(3, [0b001, 0b110])]
+    ideals += [edge_ideal(family(f"complete:{n}")) for n in range(1, 9)]
+    # the edge and the cover ideal of every class on 1-6 vertices, connected
+    # or not; an edgeless graph's cover ideal is the unit ideal
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, connected_only=False):
+            ideals.append(edge_ideal(g))
+            if g.edge_count():
+                ideals.append(dual_ideal(edge_ideal(g)))
     for ideal in ideals:
         for field in (GF2, GF3, Q):
             expect = _nonzero_entries(
@@ -244,6 +256,21 @@ def test_restriction_pass_matches_unreduced_oracle():
         assert dict(homology.restriction_homology(ideal, GF2)) == expect, spec
 
 
+def test_isolated_point_rule_corner_cases():
+    # (x0, x1): both vertices are generators, not points, so S = {0, 1}
+    # restricts to {emptyset}; (x0, x1x2): 1 and 2 are isolated points
+    # beside the generator x0
+    assert list(homology.restriction_homology(squarefree_ideal(2, [0b01, 0b10]))) == [
+        (0b00, {-1: 1}), (0b01, {-1: 1}), (0b10, {-1: 1}), (0b11, {-1: 1})]
+    assert dict(homology.restriction_homology(squarefree_ideal(3, [0b001, 0b110]))) == {
+        0b000: {-1: 1}, 0b001: {-1: 1}, 0b110: {0: 1}, 0b111: {0: 1}}
+    # Ind(K_n) is n points
+    for n in range(1, 9):
+        assert dict(homology.restriction_homology(edge_ideal(family(f"complete:{n}")))) == {
+            0: {-1: 1}, **{s: {0: s.bit_count() - 1} for s in range(1 << n)
+                           if s.bit_count() >= 2}}
+
+
 def test_restriction_pass_runs_the_rank_kernel_on_few_subsets(monkeypatch):
     calls = []
     kernel = homology._ranks_from_faces
@@ -255,8 +282,14 @@ def test_restriction_pass_runs_the_rank_kernel_on_few_subsets(monkeypatch):
     monkeypatch.setattr(homology, "_ranks_from_faces", counting)
     table = hochster_betti(edge_ideal(family("path:11")))
     assert table.reg() == 4
-    # 4096 subsets; all but a few are cones or fold onto a smaller subset
+    # 4096 subsets; all but a few are cones, isolated points or folds
     assert len(calls) < 200
+    # only S = {} reaches the kernel: Ind(K_12) restricts to points, and the
+    # complement of a tree restricts to forests, whose leaves fold off
+    for g in (family("complete:12"), complement(family("dtree:1,10,0"))):
+        calls.clear()
+        hochster_betti(edge_ideal(g))
+        assert len(calls) <= 1
 
 
 _GF5 = FieldChoice(5)

@@ -4,12 +4,13 @@ import pytest
 
 import _oracles as oracle
 from edgeideals import (GF2, ShellingCertificate, VDLeaf, VDNode, build_graph,
-                        enumerate_graphs, family, independence_complex,
+                        complement, enumerate_graphs, family, independence_complex,
                         induced_subgraph, is_shedding_vertex,
                         reducing_vertex, root_shedding_vertex, shellable,
                         shelling_bruteforce, simplicial_complex,
                         validate_shelling, validate_vertex_decomposition,
                         vertex_decomposable)
+from edgeideals import structure
 from edgeideals.bitsets import bits
 
 
@@ -57,6 +58,61 @@ def test_vertex_decomposable_matches_the_face_set_oracle():
             faces = oracle.independence_faces(g)
             assert (vertex_decomposable(g) is not None) == \
                 oracle.vertex_decomposable_by_faces(faces), g
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_the_skeleton_cut_fires_only_on_subsets_that_are_not_vd():
+    cut = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, connected_only=False):
+            faces = oracle.independence_faces(g)
+            memo = {}
+            for sub in range(1 << n):
+                if structure._edges_connected(g, sub):
+                    continue
+                inside = set(bits(sub))
+                restricted = frozenset(f for f in faces if f <= inside)
+                assert not oracle.vertex_decomposable_by_faces(restricted, memo), \
+                    (g, sub)
+                cut += 1
+    assert cut == 228
+
+
+def test_the_skeleton_cut_keeps_every_certificate(monkeypatch):
+    rng = random.Random(3)
+    graphs = [g for n in range(1, 7)
+              for g in enumerate_graphs(n, connected_only=False)]
+    for _ in range(40):
+        n = rng.randint(8, 10)
+        p = rng.choice((0.2, 0.5, 0.8))
+        graphs.append(build_graph(n, [(u, v) for u in range(n)
+                                      for v in range(u + 1, n) if rng.random() < p]))
+    graphs += [complement(_relabelled(family(f"dtree:{d},{9 - d},0"), seed))
+               for d in (1, 2) for seed in range(4)]
+    cut = [vertex_decomposable(g) for g in graphs]
+    monkeypatch.setattr(structure, "_edges_connected", lambda g, sub: True)
+    assert cut == [vertex_decomposable(g) for g in graphs]
+
+
+def test_vertex_decomposition_of_relabelled_co_trees_sheds_few(monkeypatch):
+    # without the skeleton cut these labellings asked from 16 to 2,689
+    # shedding questions; with it, from 16 to 35
+    calls = []
+    sheds = structure._sheds
+    monkeypatch.setattr(structure, "_sheds",
+                        lambda g, sub, x: calls.append(x) or sheds(g, sub, x))
+    tree = family("dtree:1,10,0")
+    for seed in range(16):
+        g = complement(_relabelled(tree, seed))
+        calls.clear()
+        cert = vertex_decomposable(g)
+        assert cert is not None and validate_vertex_decomposition(g, cert)
+        assert len(calls) <= 60, (seed, len(calls))
 
 
 def test_vertex_decomposition_cap():
