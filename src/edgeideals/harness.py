@@ -16,9 +16,9 @@ from functools import cached_property
 
 from .betti import ideal_table_to_quotient
 from .bitsets import bits
-from .graphs import (Graph, build_graph, canonical_form, complement,
-                     enumerate_graphs, family, is_chordal, recognize_d_tree,
-                     validate_d_tree_certificate)
+from .graphs import (Graph, adjacency_string, build_graph, canonical_form,
+                     complement, enumerate_graphs, family, is_chordal,
+                     recognize_d_tree, validate_d_tree_certificate)
 from .complexes import _facet_complements, independence_complex
 from .homology import (GF2, FieldChoice, _betti_from_pass, hochster_betti,
                        restriction_homology)
@@ -334,6 +334,9 @@ def dtree_family_specs(seed: int = 0) -> list[str]:
 
 
 def _run_payload(payload) -> list[dict]:
+    """The rows of one subject.  An enumerated subject is its class's
+    canonically labelled representative, so its canonical form is the
+    adjacency string of its own labels; other subjects are labelled."""
     kind, n, edges, spec, expected_d, checks, field = payload
     g = build_graph(n, list(edges))
     w = GraphWorkup(g, field, expected_d)
@@ -342,7 +345,8 @@ def _run_payload(payload) -> list[dict]:
     if spec is not None:
         subject["family"] = spec
     if fits("canonical", n):
-        subject["canonical"] = w.canonical
+        subject["canonical"] = (adjacency_string(g) if kind == "enumerated"
+                                else w.canonical)
     out = []
     for cid in checks:
         status, reason, data = CHECKS[cid][0](w)

@@ -14,18 +14,23 @@ is the reference for the pass that skips cones and folds. Both take their
 ranks from the dense kernels here, not from the package's sparse ones.
 Next is the invariant search bounded only by its candidate count, the
 reference for the package's search with the vertex-capacity bound. The
-very last is the degree-d simplicial peel that recognised d-trees before
-the chordal peel did, the reference for `recognize_d_tree`.
+last is the degree-d simplicial peel that recognised d-trees before the
+chordal peel did, the reference for `recognize_d_tree`. The very last is the
+isomorph-free enumeration that canonically labels every extension of every
+smaller class, the reference for the maximum-degree filter of
+`enumerate_graphs`; it labels with the package's `_canonical`, which is
+checked against every relabelling on its own.
 """
 
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from edgeideals import (BettiTable, build_graph, edge_ideal,
+from edgeideals import (BettiTable, Graph, build_graph, edge_ideal,
                         induced_subgraph, minimal_hitting_sets,
                         simplicial_complex)
 from edgeideals.bitsets import bits, compress, mask_of, submasks
+from edgeideals.graphs import _canonical
 from edgeideals.limits import check
 
 
@@ -541,3 +546,19 @@ def recognize_d_tree_by_degree_peel(g):
     if not is_clique(remaining):
         return None
     return d, tuple(elim)
+
+
+@lru_cache(maxsize=None)
+def iso_classes_by_full_scan(n):
+    """The canonical representatives of the n-vertex classes, in increasing
+    canonical form, from labelling all 2^(n-1) extensions of every class on
+    n - 1 vertices."""
+    if n == 0:
+        return (Graph(0, ()),)
+    found = {}
+    for h in iso_classes_by_full_scan(n - 1):
+        for s in range(1 << (n - 1)):
+            adj = [h.adj[v] | (s >> v & 1) << (n - 1) for v in range(n - 1)]
+            value, cg = _canonical(Graph(n, tuple(adj) + (s,)))
+            found.setdefault(value, cg)
+    return tuple(found[k] for k in sorted(found))

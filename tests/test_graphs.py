@@ -16,6 +16,7 @@ from edgeideals import (DTreeCertificate, build_graph, canonical_form,
                         maximal_independent_sets, recognize_d_tree,
                         validate_d_tree_certificate, whisker)
 from edgeideals.bitsets import bits, mask_of
+from edgeideals.graphs import _canonical, _iso_classes, adjacency_string
 
 
 def test_build_graph_rejects_bad_input():
@@ -342,3 +343,44 @@ def test_enumeration_counts():
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         list(enumerate_graphs(9))
+
+
+def test_enumeration_matches_the_full_scan_of_extensions():
+    for n in range(8):
+        assert _iso_classes(n) == oracle.iso_classes_by_full_scan(n), n
+
+
+def test_enumeration_labels_only_maximum_degree_extensions(monkeypatch):
+    # the full scan labels 1 + 2 + 8 + 32 + 176 + 1088 = 1,307 extensions
+    levels = _iso_classes.cache_info().currsize
+    _iso_classes.cache_clear()
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr("edgeideals.graphs._canonical",
+                  lambda g: calls.append(g) or _canonical(g))
+        assert len(_iso_classes(6)) == 156
+    assert len(calls) <= 500
+    if levels:
+        _iso_classes(levels - 1)
+
+
+def test_enumerated_representatives_are_their_own_canonical_forms():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            assert adjacency_string(g) == canonical_form(g), g
+
+
+def test_enumeration_counts_at_the_canonical_cap_within_a_minute():
+    def give_up(signum, frame):
+        raise TimeoutError("enumerating 8-vertex graphs took more than 60 s")
+
+    old = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(60)
+    try:
+        classes = list(enumerate_graphs(8))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    # OEIS A000088 and A001349
+    assert len(classes) == 12346
+    assert sum(map(is_connected, classes)) == 11117

@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from edgeideals import (CHECKS, GF2, CheckResult, analyze, build_graph,
-                        complement, dtree_family_specs, family,
+                        canonical_form, canonical_graph, complement,
+                        dtree_family_specs, enumerate_graphs, family,
                         recognize_d_tree, verify_theorems)
 from edgeideals.harness import GraphWorkup
 
@@ -108,7 +109,8 @@ def test_a_subject_builds_its_complex_once_and_runs_no_transversals(monkeypatch)
         for key, mod in list(sys.modules.items()):
             if key.startswith("edgeideals") and vars(mod).get(name) is fn:
                 monkeypatch.setattr(mod, name, counted)
-    g = family("pendant_cycle:1")
+    # an enumerated subject is its class's canonical representative
+    g = canonical_graph(family("pendant_cycle:1"))
     rows = harness._run_payload(("enumerated", g.n, tuple(g.edges()), None,
                                  None, harness.CHECK_ORDER, GF2))
     status = {row["check"]: row["status"] for row in rows}
@@ -141,7 +143,7 @@ def test_complement_checks_run_no_invariant_search_and_share_the_froberg_gate(
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(harness, name, counted)
-    g = family("cycle:5")
+    g = canonical_graph(family("cycle:5"))
     rows = harness._run_payload(
         ("enumerated", g.n, tuple(g.edges()), None, None,
          ("trianglefree-complement", "linear-resolution-chordal"), GF2))
@@ -150,6 +152,27 @@ def test_complement_checks_run_no_invariant_search_and_share_the_froberg_gate(
     w = GraphWorkup(g, GF2)
     assert not w.complement_chordal and w.edge_quotients is None
     assert calls == {"compute_invariants": 0, "linear_quotient_search": 0}
+
+
+def test_enumerated_subjects_carry_their_canonical_form_unlabelled(
+        monkeypatch):
+    from edgeideals.graphs import _canonical
+
+    list(enumerate_graphs(6))  # the representatives, labelled beforehand
+    labelled = []
+    monkeypatch.setattr("edgeideals.graphs._canonical",
+                        lambda g: labelled.append(g) or _canonical(g))
+    report = verify_theorems(max_n=6)
+    subjects = {id(row["subject"]): row["subject"] for row in report["results"]}
+    assert len(subjects) == 143 + 108
+    # one labelling per family subject within the cap, none per enumerated
+    assert len(labelled) == sum(
+        s["kind"] != "enumerated" and "canonical" in s
+        for s in subjects.values())
+    for subject in subjects.values():
+        if subject["vertices"] <= 8:
+            g = build_graph(subject["vertices"], subject["edges"])
+            assert subject["canonical"] == canonical_form(g), subject
 
 
 def test_unknown_check_is_rejected():
