@@ -40,10 +40,11 @@ def parse_input(text: str) -> Graph:
         raise ValueError(f"header promises {m} edges, got {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = (int(x) for x in ln.split())
+        except ValueError:
+            raise ValueError(f"bad edge line: {ln!r}") from None
+        edges.append((u, v))
     return build_graph(n, edges)
 
 

@@ -143,36 +143,44 @@ def _is_clique(g: Graph, mask: int) -> bool:
     return True
 
 
+def _independent_sets(adj: tuple[int, ...], near: int, r: int, p: int, q: int,
+                      emit) -> bool:
+    """Bron-Kerbosch on the complement with a highest-degree pivot: calls
+    emit(F) on each maximal independent set F with r within F within r + p,
+    no vertex of q addable, and a neighbourhood that holds near.  Returns
+    True as soon as emit does.  A nonzero near cuts a branch once the
+    neighbourhood of r + p misses a vertex of it."""
+    if near:
+        reach = 0
+        for v in bits(r | p):
+            reach |= adj[v]
+        if near & ~reach:
+            return False
+    if not p:
+        return not q and bool(emit(r))
+    pivot, best = -1, -1
+    for v in bits(p | q):
+        c = (p & ~adj[v]).bit_count()
+        if c > best:
+            pivot, best = v, c
+    for v in bits(p & (adj[pivot] | 1 << pivot)):
+        b = 1 << v
+        if _independent_sets(adj, near, r | b, p & ~adj[v] & ~b, q & ~adj[v], emit):
+            return True
+        p &= ~b
+        q |= b
+    return False
+
+
 def maximal_independent_sets(g: Graph, within: int | None = None) -> list[int]:
     """All maximal independent sets of the subgraph induced on `within`
-    (default: all vertices), as bitmasks in the original labels.
-
-    Bron-Kerbosch on the complement with a highest-degree pivot.
-    """
+    (default: all vertices), as sorted bitmasks in the original labels."""
     sub = g.full if within is None else within
     if sub & ~g.full:
         raise ValueError("subset leaves the vertex range")
-    non = [~g.adj[v] & sub & ~(1 << v) for v in range(g.n)]
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pivot, best = -1, -1
-        for v in bits(p | x):
-            c = (p & non[v]).bit_count()
-            if c > best:
-                pivot, best = v, c
-        for v in bits(p & ~non[pivot]):
-            b = 1 << v
-            expand(r | b, p & non[v], x & non[v])
-            p &= ~b
-            x |= b
-
-    expand(0, sub, 0)
-    out.sort()
-    return out
+    _independent_sets(g.adj, 0, 0, sub, 0, out.append)
+    return sorted(out)
 
 
 def is_chordal(g: Graph):
@@ -282,7 +290,10 @@ def family(spec: str) -> Graph:
     name = name.strip().lower()
     try:
         if name == "dtree":
-            d, steps, seed = (int(x) for x in arg.split(","))
+            try:
+                d, steps, seed = (int(x) for x in arg.split(","))
+            except ValueError:
+                raise ValueError("dtree takes d,steps,seed") from None
             if steps < 0:
                 raise ValueError("steps must be non-negative")
             return _random_d_tree(d, steps, seed)
@@ -311,11 +322,8 @@ def family(spec: str) -> Graph:
         if k < 1:
             raise ValueError("cycle parameter must be at least 1")
         m = 2 * k + 1
-        edges = [(i, (i + 1) % m) for i in range(m)]
-        if name == "pendant_cycle":
-            edges.append((0, m))
-        else:
-            edges.append((0, m))
+        edges = [(i, (i + 1) % m) for i in range(m)] + [(0, m)]
+        if name == "capped_cycle":
             edges.append((1, m))
         return build_graph(m + 1, edges)
     raise ValueError(f"unknown family {name!r}")

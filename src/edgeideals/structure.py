@@ -13,7 +13,7 @@ from typing import Iterable, Union
 
 from .bitsets import bits
 from .complexes import SimplicialComplex, _facet_complements
-from .graphs import Graph
+from .graphs import Graph, _independent_sets
 from .homology import GF2, FieldChoice, restriction_homology
 from .ideals import edge_ideal, linear_quotient_search
 from .limits import check
@@ -45,32 +45,12 @@ def _sheds(g: Graph, sub: int, x: int) -> bool:
 
     A set that misses N(x) is maximal in g[sub - x] iff it is maximal in
     g[sub - N[x]] and its neighbourhood holds N(x) within sub, so x sheds
-    iff g[sub - N[x]] has no such set."""
+    iff g[sub - N[x]] has no such set.  The search stops at the first one
+    (the empty set counts), and its cut on N(x) makes a vertex that does not
+    shed cost about one branch, not every maximal independent set."""
     near = g.adj[x] & sub
-    return not _dominating_mis(g.adj, near, 0, sub & ~near & ~(1 << x), 0)
-
-
-def _dominating_mis(adj: tuple[int, ...], near: int, r: int, p: int, q: int) -> bool:
-    """Bron-Kerbosch for a maximal independent set F, with r within F within
-    r + p and no vertex of q addable, whose neighbourhood holds near. It
-    stops at the first such F, and leaves a branch once the neighbourhood
-    of r + p misses a vertex of near, so a vertex that does not shed costs
-    about one branch, not every maximal independent set."""
-    reach = 0
-    for v in bits(r | p):
-        reach |= adj[v]
-    if near & ~reach:
-        return False
-    if not p:
-        return not q
-    pivot = max(bits(p | q), key=lambda v: (p & ~adj[v]).bit_count())
-    for v in bits(p & (adj[pivot] | 1 << pivot)):
-        b = 1 << v
-        if _dominating_mis(adj, near, r | b, p & ~adj[v] & ~b, q & ~adj[v]):
-            return True
-        p &= ~b
-        q |= b
-    return False
+    return not _independent_sets(g.adj, near, 0, sub & ~near & ~(1 << x), 0,
+                                 lambda f: True)
 
 
 def is_shedding_vertex(g: Graph, x: int) -> bool:

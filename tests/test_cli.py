@@ -160,6 +160,13 @@ def test_bad_input_exits_2(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
     assert main(["verify", "--max-n", "2", "--tsv", str(tmp_path / "missing" / "x.tsv")]) == 2
     assert "error:" in capsys.readouterr().err
+    # a malformed input names the part that is wrong
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3 2\n0 1\n1 x\n")
+    assert main(["analyze", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: bad edge line: '1 x'\n"
+    assert main(["analyze", "dtree:1,2"]) == 2
+    assert "dtree takes d,steps,seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", ["--out", "--tsv"])

@@ -103,12 +103,13 @@ def test_maximal_independent_sets_against_bruteforce(graphs_through_5):
         assert got == oracle.maximal_independent_sets(g)
 
 
-def test_maximal_independent_sets_within_subset():
-    c5 = family("cycle:5")
-    within = mask_of((0, 1, 2))
-    got = sorted(tuple(sorted(bits(m)))
-                 for m in maximal_independent_sets(c5, within))
-    assert got == oracle.maximal_independent_sets(c5, {0, 1, 2})
+def test_maximal_independent_sets_within_subset(graphs_through_5):
+    for g in graphs_through_5:
+        assert maximal_independent_sets(g, 0) == [0]
+        for within in range(1 << g.n):
+            got = sorted(tuple(sorted(bits(m)))
+                         for m in maximal_independent_sets(g, within))
+            assert got == oracle.maximal_independent_sets(g, set(bits(within)))
 
 
 def _is_perfect_elimination(g, order):
