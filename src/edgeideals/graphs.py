@@ -288,6 +288,9 @@ def family(spec: str) -> Graph:
     if not sep:
         raise ValueError(f"family spec {spec!r} has no ':'")
     name = name.strip().lower()
+    if name not in ("path", "cycle", "complete", "edgeless", "pendant_cycle",
+                    "capped_cycle", "dtree"):
+        raise ValueError(f"unknown family {name!r}")
     try:
         if name == "dtree":
             try:
@@ -297,7 +300,10 @@ def family(spec: str) -> Graph:
             if steps < 0:
                 raise ValueError("steps must be non-negative")
             return _random_d_tree(d, steps, seed)
-        k = int(arg)
+        try:
+            k = int(arg)
+        except ValueError:
+            raise ValueError(f"{name} takes one integer") from None
     except CapExceeded:
         raise
     except ValueError as exc:
@@ -318,15 +324,14 @@ def family(spec: str) -> Graph:
         if k < 0:
             raise ValueError("vertex count must be non-negative")
         return build_graph(k, [])
-    if name in ("pendant_cycle", "capped_cycle"):
-        if k < 1:
-            raise ValueError("cycle parameter must be at least 1")
-        m = 2 * k + 1
-        edges = [(i, (i + 1) % m) for i in range(m)] + [(0, m)]
-        if name == "capped_cycle":
-            edges.append((1, m))
-        return build_graph(m + 1, edges)
-    raise ValueError(f"unknown family {name!r}")
+    # pendant_cycle or capped_cycle
+    if k < 1:
+        raise ValueError("cycle parameter must be at least 1")
+    m = 2 * k + 1
+    edges = [(i, (i + 1) % m) for i in range(m)] + [(0, m)]
+    if name == "capped_cycle":
+        edges.append((1, m))
+    return build_graph(m + 1, edges)
 
 
 # --- canonical forms and enumeration -------------------------------------

@@ -7,6 +7,11 @@ ranks use one sparse elimination loop: over GF(p) every nonzero entry is a
 pivot; over Q it pivots on +-1 entries while there are any, so the rows
 stay integers, and after that on any nonzero entry, scaling its row by an
 exact Fraction. There is no floating point anywhere.
+
+The boundary maps of a complex are eliminated from the top dimension down,
+with clearing: the boundary of the d-faces leaves out the rows of the
+d-faces that the elimination one dimension up pivoted on, since those rows
+would all reduce to zero.
 """
 
 from __future__ import annotations
@@ -74,7 +79,9 @@ def parse_field(text: str) -> FieldChoice:
     raise ValueError(f"bad field {text!r}")
 
 
-def _rank_gf2(vectors: list[int]) -> int:
+def _rank_gf2(vectors: list[int]) -> list[int]:
+    """The pivot columns (bit positions) of the GF(2) rows packed into
+    vectors, one per unit of rank: each stored row pivots on its top bit."""
     lead: dict[int, int] = {}
     for v in vectors:
         while v:
@@ -84,12 +91,16 @@ def _rank_gf2(vectors: list[int]) -> int:
             else:
                 lead[top] = v
                 break
-    return len(lead)
+    return list(lead)
 
 
-def _boundary_rank(prev_faces: list[int], cur_faces: list[int], field: FieldChoice) -> int:
+def _boundary_rank(prev_faces: list[int], cur_faces: list[int],
+                   field: FieldChoice) -> tuple[int, set[int]]:
+    """(rank, pivoted) of the boundary map from cur_faces to prev_faces, one
+    dimension lower: pivoted holds the prev faces the elimination pivoted
+    on, one per unit of rank."""
     if not prev_faces or not cur_faces:
-        return 0
+        return 0, set()
     index = {f: i for i, f in enumerate(prev_faces)}
     if field.p == 2:
         vecs = []
@@ -98,19 +109,21 @@ def _boundary_rank(prev_faces: list[int], cur_faces: list[int], field: FieldChoi
             for b in bits(f):
                 v |= 1 << index[f ^ (1 << b)]
             vecs.append(v)
-        return _rank_gf2(vecs)
-    # the face f loses its k-th smallest vertex with sign (-1)^k
-    minus = field.p - 1 if field.p else -1
-    return _rank_sparse([{index[f ^ (1 << b)]: minus if k % 2 else 1
-                          for k, b in enumerate(bits(f))} for f in cur_faces], field.p)
+        cols = _rank_gf2(vecs)
+    else:
+        # the face f loses its k-th smallest vertex with sign (-1)^k
+        minus = field.p - 1 if field.p else -1
+        cols = _rank_sparse([{index[f ^ (1 << b)]: minus if k % 2 else 1
+                              for k, b in enumerate(bits(f))} for f in cur_faces], field.p)
+    return len(cols), {prev_faces[c] for c in cols}
 
 
-def _rank_sparse(rows: list[dict[int, int]], p: int | None) -> int:
-    """Rank of the rows {column: entry}, which it consumes: over GF(p) with
-    entries in 0..p-1, where every nonzero entry is a unit, or over Q (p is
-    None) with integer entries. Over Q a round pivots only on +-1, which keeps
-    the entries integers; after a round that makes no pivot, the next one
-    pivots on any nonzero entry."""
+def _rank_sparse(rows: list[dict[int, int]], p: int | None) -> list[int]:
+    """The pivot columns, one per unit of rank, of the rows {column: entry},
+    which it consumes: over GF(p) with entries in 0..p-1, where every nonzero
+    entry is a unit, or over Q (p is None) with integer entries. Over Q a
+    round pivots only on +-1, which keeps the entries integers; after a round
+    that makes no pivot, the next one pivots on any nonzero entry."""
     # pivots[order[c]]: (c, the rest of the row that pivots on column c,
     # scaled to a 1 there); it is zero on every column that pivoted before it
     pivots: list[tuple[int, dict[int, int]]] = []
@@ -144,7 +157,7 @@ def _rank_sparse(rows: list[dict[int, int]], p: int | None) -> int:
         # after a round that made no pivot, no row has a unit entry left
         units_only = units_only and grew
         rows = left
-    return len(pivots)
+    return [c for c, _ in pivots]
 
 
 def _clear_pivot_columns(row: dict[int, int], pivots: list[tuple[int, dict[int, int]]],
@@ -180,12 +193,24 @@ def face_counts(c: SimplicialComplex) -> dict[int, int]:
 
 
 def _ranks_from_faces(faces: list[int], field: FieldChoice) -> dict[int, int]:
+    """Reduced homology ranks {d: rank}, d = -1..dim, of the complex whose
+    faces (the empty face included) are given. Boundary maps are eliminated
+    from the top dimension down, and the rows of the d-faces that the
+    elimination of the boundary of the (d+1)-faces pivoted on are left out
+    of the boundary of the d-faces (clearing): each reduced pivot row is a
+    boundary, so the boundary of the d-faces maps it to zero, and on the
+    pivoted faces these rows are triangular with unit diagonal, so with the
+    other d-faces they span every d-chain, and the left-out rows add nothing
+    to the image."""
     by_dim: dict[int, list[int]] = {}
     for f in faces:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
     top = max(by_dim, default=-2)
-    brank = {d: _boundary_rank(by_dim[d - 1], by_dim[d], field)
-             for d in range(0, top + 1)}
+    brank: dict[int, int] = {}
+    cleared: set[int] = set()
+    for d in range(top, -1, -1):
+        brank[d], cleared = _boundary_rank(
+            by_dim[d - 1], [f for f in by_dim[d] if f not in cleared], field)
     out = {}
     for d in range(-1, top + 1):
         nullity = len(by_dim[d]) - brank.get(d, 0)

@@ -19,7 +19,10 @@ chordal peel did, the reference for `recognize_d_tree`. The very last is the
 isomorph-free enumeration that canonically labels every extension of every
 smaller class, the reference for the maximum-degree filter of
 `enumerate_graphs`; it labels with the package's `_canonical`, which is
-checked against every relabelling on its own.
+checked against every relabelling on its own. After it comes the boundary-rank
+loop that eliminates every boundary map in full, bottom-up, the reference
+for the clearing in `homology._ranks_from_faces`; it runs the package's own
+kernels on every row.
 """
 
 import random
@@ -31,6 +34,7 @@ from edgeideals import (BettiTable, Graph, build_graph, edge_ideal,
                         simplicial_complex)
 from edgeideals.bitsets import bits, compress, mask_of, submasks
 from edgeideals.graphs import _canonical
+from edgeideals.homology import _boundary_rank
 from edgeideals.limits import check
 
 
@@ -562,3 +566,20 @@ def iso_classes_by_full_scan(n):
             value, cg = _canonical(Graph(n, tuple(adj) + (s,)))
             found.setdefault(value, cg)
     return tuple(found[k] for k in sorted(found))
+
+
+def ranks_without_clearing(faces, field):
+    """Reduced homology ranks {d: rank}, d = -1..dim, of the complex whose
+    faces (the empty face included) are given, from the rank of every
+    boundary map taken on all its rows, dimension by dimension upwards."""
+    by_dim = {}
+    for f in faces:
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    top = max(by_dim, default=-2)
+    brank = {d: _boundary_rank(by_dim[d - 1], by_dim[d], field)[0]
+             for d in range(0, top + 1)}
+    out = {}
+    for d in range(-1, top + 1):
+        nullity = len(by_dim[d]) - brank.get(d, 0)
+        out[d] = nullity - brank.get(d + 1, 0)
+    return out

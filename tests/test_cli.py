@@ -167,6 +167,13 @@ def test_bad_input_exits_2(capsys, tmp_path):
     assert capsys.readouterr().err == "error: bad edge line: '1 x'\n"
     assert main(["analyze", "dtree:1,2"]) == 2
     assert "dtree takes d,steps,seed" in capsys.readouterr().err
+    for spec in ("path:x", "cycle:x", "complete:1.5", "edgeless:y", "pendant_cycle:z"):
+        assert main(["analyze", spec]) == 2
+        name = spec.partition(":")[0]
+        assert capsys.readouterr().err == (
+            f"error: bad family arguments in {spec!r}: {name} takes one integer\n")
+    assert main(["analyze", "no_such_family:x"]) == 2
+    assert capsys.readouterr().err == "error: unknown family 'no_such_family'\n"
 
 
 @pytest.mark.parametrize("option", ["--out", "--tsv"])

@@ -292,6 +292,48 @@ def test_restriction_pass_runs_the_rank_kernel_on_few_subsets(monkeypatch):
         assert len(calls) <= 1
 
 
+def test_clearing_matches_full_elimination_where_it_fires(monkeypatch):
+    # every face list that reaches the kernel for the cover ideals of the
+    # 7-vertex classes over GF(2), and of the benchmark's 9- and 10-vertex
+    # d-trees over GF(3) and Q, where clearing leaves out most rows
+    seen = []
+    kernel = homology._ranks_from_faces
+
+    def compare(faces, field):
+        ranks = kernel(faces, field)
+        assert ranks == oracle.ranks_without_clearing(faces, field), (faces, field)
+        assert ranks == oracle.ranks_from_faces(faces, field), (faces, field)
+        seen.append(field)
+        return ranks
+
+    monkeypatch.setattr(homology, "_ranks_from_faces", compare)
+    for g in enumerate_graphs(7, connected_only=False):
+        if g.edges():
+            hochster_betti(dual_ideal(edge_ideal(g)), GF2)
+    for n, fields in ((9, (GF3, Q)), (10, (GF3,))):
+        for d in (1, 2, 3):
+            cover = dual_ideal(edge_ideal(family(f"dtree:{d},{n - d - 1},0")))
+            for field in fields:
+                hochster_betti(cover, field)
+    assert seen.count(GF2) > 8000 and seen.count(GF3) > 70 and seen.count(Q) > 30
+
+
+def test_clearing_cuts_the_rows_of_the_sparse_kernel(monkeypatch):
+    # full elimination hands 2,857 rows to the sparse loop here
+    rows = []
+    kernel = homology._rank_sparse
+
+    def counting(r, p):
+        rows.append(len(r))
+        return kernel(r, p)
+
+    monkeypatch.setattr(homology, "_rank_sparse", counting)
+    table = hochster_betti(dual_ideal(edge_ideal(family("dtree:3,6,0"))), GF3)
+    # Terai: pd of the cover ideal is reg(R/I(G)) + 1 = 2 + 1
+    assert table.pd() == 3
+    assert sum(rows) <= 1600
+
+
 _GF5 = FieldChoice(5)
 _GF1009 = FieldChoice(1009)
 
@@ -331,7 +373,10 @@ def test_sparse_rank_matches_dense_oracle_on_integer_matrices():
             expect = (oracle.rank_gfp(reduced, p) if p
                       else oracle.rank_bareiss(reduced))
             rows = [{c: x for c, x in enumerate(row) if x} for row in reduced]
-            assert homology._rank_sparse(rows, p) == expect, (dense, p)
+            had = {c for row in rows for c in row}
+            cols = homology._rank_sparse(rows, p)
+            assert len(cols) == expect, (dense, p)
+            assert len(set(cols)) == len(cols) and had.issuperset(cols), (dense, p)
 
 
 def test_rational_kernel_takes_a_fraction_pivot_only_on_a_residual(monkeypatch):
