@@ -1,10 +1,10 @@
 """Edge ideals of graphs: exact Betti numbers, regularity and projective
 dimension, combinatorial certificates, and a batch verification harness."""
 
-from .betti import BettiTable, ideal_table_to_quotient
+from .betti import BettiTable
 from .complexes import (SimplicialComplex, alexander_dual, complex_from_ideal,
-                        deletion, independence_complex, link,
-                        minimal_nonfaces, simplicial_complex)
+                        independence_complex, minimal_nonfaces,
+                        simplicial_complex)
 from .graphs import (DTreeCertificate, Graph, build_graph, canonical_form,
                      canonical_graph, complement, enumerate_graphs, family,
                      induced_subgraph, is_chordal, is_connected,

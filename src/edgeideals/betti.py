@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 @dataclass
 class BettiTable:
-    """entries[(i, j)] = beta_{i,j}; zero ranks are dropped on construction.
+    """entries[(i, j)] = beta_{i,j}(R/I), so beta_{0,0} = 1 for any proper
+    ideal I; zero ranks are dropped on construction.
 
     field_tag records which coefficient field produced the table ("gf2",
     "gf3", "q", ...); None for characteristic-free tables derived from a
@@ -35,10 +36,3 @@ class BettiTable:
     def triples(self) -> list[tuple[int, int, int]]:
         return sorted((i, j, r) for (i, j), r in self.entries.items())
 
-
-def ideal_table_to_quotient(table: BettiTable) -> BettiTable:
-    """Shift a Betti table of an ideal I to the table of R/I:
-    beta_i(I) = beta_{i+1}(R/I), plus the rank-one entry at (0, 0)."""
-    entries = {(i + 1, j): r for (i, j), r in table.entries.items()}
-    entries[(0, 0)] = 1
-    return BettiTable(entries, table.field_tag)

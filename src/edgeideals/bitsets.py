@@ -20,21 +20,6 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def compress(mask: int, sub: int) -> int:
-    """Re-index the bits of mask (required to lie inside sub) to dense
-    positions 0..popcount(sub)-1, following sub's ascending bit order."""
-    out = 0
-    i = 0
-    s = sub
-    while s:
-        b = s & -s
-        if mask & b:
-            out |= 1 << i
-        i += 1
-        s ^= b
-    return out
-
-
 def submasks(mask: int) -> Iterator[int]:
     """Yield every subset of mask in ascending order, from 0 to mask."""
     s = 0

@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .graphs import Graph, build_graph, enumerate_graphs, family
+from .graphs import Graph, build_graph, enumerate_graphs, family, read_ints
 from .harness import CHECK_ORDER, GraphWorkup, analyze, verify_theorems
 from .homology import hochster_betti, parse_field
 from .limits import check
@@ -29,22 +29,10 @@ def parse_input(text: str) -> Graph:
         if len(lines) > 1:
             raise ValueError("family spec must be the only line")
         return family(lines[0])
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError("header must be two integers: n m")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError("header must be two integers: n m") from None
+    n, m = read_ints(lines[0], 2, "header must be two integers: n m")
     if m != len(lines) - 1:
         raise ValueError(f"header promises {m} edges, got {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        try:
-            u, v = (int(x) for x in ln.split())
-        except ValueError:
-            raise ValueError(f"bad edge line: {ln!r}") from None
-        edges.append((u, v))
+    edges = [tuple(read_ints(ln, 2, f"bad edge line: {ln!r}")) for ln in lines[1:]]
     return build_graph(n, edges)
 
 
@@ -58,10 +46,6 @@ def load_graph(arg: str) -> Graph:
     if ":" in arg:
         return family(arg)
     raise ValueError(f"not a family spec or readable file: {arg}")
-
-
-def _env(name: str, fallback):
-    return os.environ.get(f"EDGEIDEALS_{name}", fallback)
 
 
 def _write_json(doc: dict, out: str | None) -> None:
@@ -105,11 +89,6 @@ def cmd_verify(args) -> int:
     checks = None
     if args.theorems:
         checks = [c.strip() for c in args.theorems.split(",") if c.strip()]
-    if args.connected is None:
-        value = _env("CONNECTED", "1")
-        if value.lower() not in ("1", "true", "0", "false", ""):
-            raise ValueError(f"EDGEIDEALS_CONNECTED must be 1, true, 0 or false: {value!r}")
-        args.connected = value.lower() in ("1", "true")
     for path in (args.out, args.tsv):
         if path:
             _check_writable(path)
@@ -190,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_field(p):
-        p.add_argument("--field", default=_env("FIELD", "gf2"),
+        p.add_argument("--field", default="gf2",
                        help="coefficient field: gf2, gf<p>, or q")
 
     p = sub.add_parser("analyze", help="full report for one graph")
@@ -200,13 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the check suite over enumerations")
-    p.add_argument("--max-n", type=int, default=_env("MAX_N", "6"))
-    p.add_argument("--connected", action=argparse.BooleanOptionalAction)
-    p.add_argument("--theorems", default=_env("THEOREMS", ""),
+    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--connected", action=argparse.BooleanOptionalAction,
+                   default=True)
+    p.add_argument("--theorems", default="",
                    help="comma-separated check ids (default: all); known: "
                         + ", ".join(CHECK_ORDER))
-    p.add_argument("--seed", type=int, default=_env("SEED", "0"))
-    p.add_argument("--jobs", type=int, default=_env("JOBS", "1"))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-families", action="store_true",
                    help="skip the generated d-tree families")
     add_field(p)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import bits, compress, submasks
+from .bitsets import submasks
 from .graphs import Graph, maximal_independent_sets
 from .ideals import SquarefreeIdeal, dual_ideal, squarefree_ideal
 from .limits import check
@@ -57,29 +57,6 @@ def simplicial_complex(ground: int, faces) -> SimplicialComplex:
 def independence_complex(g: Graph) -> SimplicialComplex:
     """Faces are the independent vertex sets of g."""
     return simplicial_complex(g.n, maximal_independent_sets(g))
-
-
-def _shrink(ground: int, facets, removed: int) -> tuple[SimplicialComplex, tuple[int, ...]]:
-    keep = ((1 << ground) - 1) & ~removed
-    labels = tuple(bits(keep))
-    shrunk = [compress(f, keep) for f in facets]
-    return simplicial_complex(len(labels), shrunk), labels
-
-
-def link(c: SimplicialComplex, f: int) -> tuple[SimplicialComplex, tuple[int, ...]]:
-    """Link of the face f, on the ground set minus f's vertices.  Returns
-    (complex, labels) with labels[new] = old ground element."""
-    if not c.has_face(f):
-        raise ValueError("link of a non-face")
-    rel = [fc & ~f for fc in c.facets if fc & f == f]
-    return _shrink(c.ground, rel, f)
-
-
-def deletion(c: SimplicialComplex, f: int) -> tuple[SimplicialComplex, tuple[int, ...]]:
-    """Faces disjoint from f, on the ground set minus f's vertices."""
-    if f >> c.ground:
-        raise ValueError("face leaves the ground set")
-    return _shrink(c.ground, [fc & ~f for fc in c.facets], f)
 
 
 def _facet_complements(c: SimplicialComplex) -> SquarefreeIdeal:

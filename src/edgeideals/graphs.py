@@ -16,6 +16,18 @@ from .bitsets import bits, mask_of
 from .limits import CapExceeded, check
 
 
+def read_ints(text: str, count: int, error: str, sep: str | None = None) -> list[int]:
+    """Read exactly count integers from text split at sep (at whitespace by
+    default). Each is an optional '-' and ASCII digits, with surrounding
+    whitespace allowed: no '+', underscores or other digits. Anything else
+    raises ValueError(error)."""
+    parts = [t.strip() for t in text.split(sep)]
+    digits = [t.removeprefix("-") for t in parts]
+    if len(parts) != count or not all(d.isascii() and d.isdigit() for d in digits):
+        raise ValueError(error)
+    return [int(t) for t in parts]
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; adj[v] is the neighbour bitmask of v."""
@@ -293,17 +305,11 @@ def family(spec: str) -> Graph:
         raise ValueError(f"unknown family {name!r}")
     try:
         if name == "dtree":
-            try:
-                d, steps, seed = (int(x) for x in arg.split(","))
-            except ValueError:
-                raise ValueError("dtree takes d,steps,seed") from None
+            d, steps, seed = read_ints(arg, 3, "dtree takes d,steps,seed", ",")
             if steps < 0:
                 raise ValueError("steps must be non-negative")
             return _random_d_tree(d, steps, seed)
-        try:
-            k = int(arg)
-        except ValueError:
-            raise ValueError(f"{name} takes one integer") from None
+        (k,) = read_ints(arg, 1, f"{name} takes one integer")
     except CapExceeded:
         raise
     except ValueError as exc:

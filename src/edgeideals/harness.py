@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .betti import ideal_table_to_quotient
 from .bitsets import bits
 from .graphs import (Graph, adjacency_string, build_graph, canonical_form,
                      complement, enumerate_graphs, family, is_chordal,
@@ -192,8 +191,7 @@ def _check_dtree_pd_maxdeg(w: GraphWorkup):
     data["linear_quotients"] = lq is not None
     if lq is None:
         return "fail", "edge ideal admits no linear-quotient order", data
-    table = ideal_table_to_quotient(
-        betti_from_certificate(lq, [m.bit_count() for m in w.ideal.gens]))
+    table = betti_from_certificate(lq, [m.bit_count() for m in w.ideal.gens])
     data["pd_quotients"] = table.pd()
     ok = ok and table.pd() == maxdeg
     return _verdict(ok), "", data

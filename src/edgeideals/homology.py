@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 from .betti import BettiTable
 from .bitsets import bits, mask_of, submasks
 from .complexes import SimplicialComplex
-from .graphs import Graph
+from .graphs import Graph, read_ints
 from .ideals import SquarefreeIdeal, edge_ideal
 from .limits import check
 
@@ -71,10 +71,7 @@ def parse_field(text: str) -> FieldChoice:
     if t in ("q", "rational", "rationals"):
         return Q
     if t.startswith("gf"):
-        try:
-            p = int(t[2:])
-        except ValueError:
-            raise ValueError(f"bad field {text!r}") from None
+        (p,) = read_ints(t[2:], 1, f"bad field {text!r}")
         return FieldChoice(p)
     raise ValueError(f"bad field {text!r}")
 

@@ -174,18 +174,19 @@ def validate_linear_quotients(ideal: SquarefreeIdeal,
 
 def betti_from_certificate(cert: LinearQuotientCertificate,
                            degrees: Iterable[int]) -> BettiTable:
-    """Graded Betti numbers of an ideal with a degree-monotone
-    linear-quotient order: the mapping-cone resolution is minimal, and
-    position p contributes C(|sets[p]|, i) in degree deg(p) + i."""
+    """Graded Betti numbers of R/I for an ideal I with a degree-monotone
+    linear-quotient order: the mapping-cone resolution is minimal, so
+    beta_{0,0} = 1 and position p adds C(|sets[p]|, i) to
+    beta_{i+1, deg(p)+i}."""
     if not cert.degree_monotone:
         raise ValueError("Betti counts need a degree-monotone certificate")
     degrees = list(degrees)
-    entries: dict[tuple[int, int], int] = {}
+    entries = {(0, 0): 1}
     for pos, i in enumerate(cert.order):
         k = cert.sets[pos].bit_count()
         d = degrees[i]
         for s in range(k + 1):
-            key = (s, s + d)
+            key = (s + 1, s + d)
             entries[key] = entries.get(key, 0) + comb(k, s)
     return BettiTable(entries)
 

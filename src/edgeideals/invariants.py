@@ -133,8 +133,7 @@ def path_packing_number(g: Graph, induced_paths: bool = False
                     continue
                 seen.add(m)
                 units.append((u, v, w))
-    best = _best_compatible(units, lambda p, q: len(p) == 3 or len(q) == 3
-                            or _pair_induced(g, p, q))
+    best = _best_compatible(units, lambda p, q: _pair_induced(g, p, q))
     return len(best), best
 
 

@@ -32,7 +32,7 @@ from itertools import combinations, permutations
 from edgeideals import (BettiTable, Graph, build_graph, edge_ideal,
                         induced_subgraph, minimal_hitting_sets,
                         simplicial_complex)
-from edgeideals.bitsets import bits, compress, mask_of, submasks
+from edgeideals.bitsets import bits, mask_of, submasks
 from edgeideals.graphs import _canonical
 from edgeideals.homology import _boundary_rank
 from edgeideals.limits import check
@@ -434,6 +434,12 @@ def rank_bareiss(rows):
     return r
 
 
+def compress(mask, sub):
+    """Renumber the bits of mask inside sub to 0..|sub|-1, in sub's order."""
+    kept = [v for v in range(sub.bit_length()) if sub >> v & 1]
+    return sum(1 << i for i, v in enumerate(kept) if mask >> v & 1)
+
+
 def hochster_betti_by_transversals(ideal, field):
     """Betti table of R/I from a restricted complex built afresh for every
     variable subset S: compress the generators inside S, take their minimal
@@ -490,12 +496,15 @@ def best_compatible_by_count(units, compatible):
     """The search of `invariants._best_compatible` bounded only by the
     number of candidates left: the same exploration order (ascending unit
     index, each unit first taken, then deleted), so the same first maximum
-    as witness."""
+    as witness. Like that search, it asks compatible only about two
+    two-vertex units."""
     masks = [mask_of(u) for u in units]
     compat = [0] * len(units)
     for i in range(len(units)):
         for j in range(i + 1, len(units)):
-            if not masks[i] & masks[j] and compatible(units[i], units[j]):
+            if not masks[i] & masks[j] and (
+                    len(units[i]) > 2 or len(units[j]) > 2
+                    or compatible(units[i], units[j])):
                 compat[i] |= 1 << j
                 compat[j] |= 1 << i
     best = 0

@@ -174,6 +174,21 @@ def test_bad_input_exits_2(capsys, tmp_path):
             f"error: bad family arguments in {spec!r}: {name} takes one integer\n")
     assert main(["analyze", "no_such_family:x"]) == 2
     assert capsys.readouterr().err == "error: unknown family 'no_such_family'\n"
+    # integers are an optional '-' and ASCII digits: no '+', underscores or
+    # other digits
+    for spec in ("path:1_0", "cycle: +5", "complete:\u0663"):
+        assert main(["analyze", spec]) == 2
+        assert "takes one integer" in capsys.readouterr().err
+    for text, message in [("\u0663 1\n0 1\n", "header must be two integers: n m"),
+                          ("3 1\n1 +2\n", "bad edge line: '1 +2'")]:
+        bad.write_text(text)
+        assert main(["analyze", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    for field in ("gf+3", "gf\u0663", "gf1_009"):
+        assert main(["betti", "cycle:5", "--field", field]) == 2
+        assert "bad field" in capsys.readouterr().err
+    assert main(["analyze", "path:-1"]) == 2
+    assert "path length must be non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", ["--out", "--tsv"])
@@ -204,45 +219,24 @@ def test_verify_jobs_below_one_exits_2(capsys):
     assert "jobs must be at least 1" in capsys.readouterr().err
 
 
-def test_verify_negative_max_n_exits_2(monkeypatch, capsys):
+def test_verify_negative_max_n_exits_2(capsys):
     assert main(["verify", "--max-n", "-1"]) == 2
     assert "max_n must be non-negative" in capsys.readouterr().err
-    monkeypatch.setenv("EDGEIDEALS_MAX_N", "-1")
-    assert main(["verify"]) == 2
-    assert "max_n must be non-negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["MAX_N", "SEED", "JOBS"])
-def test_bad_integer_env_default_is_a_verify_usage_error(name, monkeypatch,
-                                                         capsys):
-    monkeypatch.setenv(f"EDGEIDEALS_{name}", "abc")
-    assert main(["generate", "3", "--count"]) == 0
-    assert capsys.readouterr().out.strip() == "2"
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--no-families"])
-    assert exc.value.code == 2
-    assert "invalid int value: 'abc'" in capsys.readouterr().err
-
-
-def test_bad_connected_env_default_is_a_verify_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("EDGEIDEALS_CONNECTED", "abc")
-    assert main(["generate", "3", "--count"]) == 0
-    assert capsys.readouterr().out.strip() == "2"
-    assert main(["verify", "--no-families"]) == 2
-    assert "EDGEIDEALS_CONNECTED" in capsys.readouterr().err
-    assert main(["verify", "--max-n", "2", "--no-families", "--no-connected",
-                 "--theorems", "reg-le-matching"]) == 0
-
-
-@pytest.mark.parametrize("value, connected", [
-    ("1", True), ("TRUE", True), ("0", False), ("False", False), ("", False)])
-def test_connected_env_default_values(value, connected, monkeypatch, tmp_path,
-                                      capsys):
-    monkeypatch.setenv("EDGEIDEALS_CONNECTED", value)
-    out = tmp_path / "report.json"
-    assert main(["verify", "--max-n", "2", "--no-families",
-                 "--theorems", "reg-le-matching", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["config"]["connected_only"] is connected
+def test_settings_come_from_flags_only(monkeypatch, tmp_path, capsys):
+    argv = ["verify", "--max-n", "2", "--no-families",
+            "--theorems", "reg-le-matching", "--out"]
+    assert main(argv + [str(tmp_path / "plain.json")]) == 0
+    assert main(["analyze", "cycle:5"]) == 0
+    plain = capsys.readouterr().out
+    for name, value in [("MAX_N", "abc"), ("CONNECTED", "abc"), ("FIELD", "gf4"),
+                        ("THEOREMS", "nope"), ("SEED", "x"), ("JOBS", "0")]:
+        monkeypatch.setenv(f"EDGEIDEALS_{name}", value)
+    assert main(argv + [str(tmp_path / "env.json")]) == 0
+    assert main(["analyze", "cycle:5"]) == 0
+    assert capsys.readouterr().out == plain
+    assert (tmp_path / "env.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_generate_refuses_a_negative_vertex_count(capsys):

@@ -3,20 +3,16 @@ import random
 import pytest
 
 import _oracles as oracle
-from edgeideals import (alexander_dual, complex_from_ideal, deletion,
-                        dual_ideal, edge_ideal, family,
-                        independence_complex, link, minimal_nonfaces,
-                        simplicial_complex, squarefree_ideal)
+from edgeideals import (alexander_dual, complex_from_ideal, dual_ideal,
+                        edge_ideal, family, independence_complex,
+                        minimal_nonfaces, simplicial_complex,
+                        squarefree_ideal)
 from edgeideals.bitsets import bits
 from edgeideals.complexes import _facet_complements
 
 
-def _faces_as_sets(c, labels=None):
-    out = set()
-    for f in c.faces():
-        vs = bits(f) if labels is None else (labels[v] for v in bits(f))
-        out.add(frozenset(vs))
-    return out
+def _faces_as_sets(c):
+    return {frozenset(bits(f)) for f in c.faces()}
 
 
 def test_independence_complex_frozen():
@@ -61,43 +57,6 @@ def test_complex_rejects_bad_ground():
         simplicial_complex(65, [])
     with pytest.raises(ValueError):
         simplicial_complex(2, [0b100])
-
-
-def test_link_and_deletion_of_vertex_match_graph_operations(graphs_through_5):
-    from edgeideals import induced_subgraph
-
-    for g in graphs_through_5:
-        c = independence_complex(g)
-        for x in range(g.n):
-            lk, labels = link(c, 1 << x)
-            sub, sub_labels = induced_subgraph(g, g.full & ~(1 << x) & ~g.adj[x])
-            assert _faces_as_sets(lk, labels) == \
-                _faces_as_sets(independence_complex(sub), sub_labels)
-
-            dl, labels = deletion(c, 1 << x)
-            rest, rest_labels = induced_subgraph(g, g.full & ~(1 << x))
-            assert dl == independence_complex(rest)
-            assert labels == rest_labels
-
-
-def test_link_of_facet_is_empty_complex():
-    c = independence_complex(family("complete:2"))
-    lk, labels = link(c, 0b01)
-    assert lk.facets == (0,)
-    assert labels == (1,)
-
-
-def test_link_of_nonface_raises():
-    c = independence_complex(family("complete:2"))
-    with pytest.raises(ValueError):
-        link(c, 0b11)
-
-
-def test_deletion_of_void_stays_void():
-    void = simplicial_complex(3, [])
-    dl, labels = deletion(void, 0b010)
-    assert dl.is_void and dl.ground == 2
-    assert labels == (0, 2)
 
 
 def test_minimal_nonfaces_of_independence_complex_is_edge_ideal(graphs_through_5):

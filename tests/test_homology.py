@@ -151,7 +151,7 @@ def test_parse_field():
     assert parse_field("gf2147483647").tag == "gf2147483647"
     # 2^61 - 1 is prime: refused by its size, before any trial division
     for bad in ("gf4", "gf1", "gf0", "gf-3", "z5", "gfx", "gf2147483659",
-                "gf2305843009213693951"):
+                "gf2305843009213693951", "gf+3", "gf\u0663", "gf1_009"):
         with pytest.raises(ValueError):
             parse_field(bad)
 

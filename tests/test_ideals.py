@@ -1,15 +1,15 @@
 import pytest
 
 import _oracles as oracle
-from edgeideals import (LinearQuotientCertificate, betti_from_certificate,
+from edgeideals import (GF2, LinearQuotientCertificate, betti_from_certificate,
                         build_graph, complement, dual_ideal, edge_ideal,
                         enumerate_graphs, family, hochster_betti,
-                        ideal_table_to_quotient, independence_complex,
-                        is_chordal, linear_quotient_search,
-                        minimal_hitting_sets, minimal_vertex_covers,
-                        squarefree_ideal, validate_linear_quotients,
-                        verify_dual_decomposition)
+                        independence_complex, is_chordal,
+                        linear_quotient_search, minimal_hitting_sets,
+                        minimal_vertex_covers, squarefree_ideal,
+                        validate_linear_quotients, verify_dual_decomposition)
 from edgeideals.bitsets import bits
+from edgeideals.harness import GraphWorkup
 
 
 def test_squarefree_ideal_reduces_to_antichain():
@@ -141,9 +141,9 @@ def test_validate_linear_quotients_rejects_tampering():
 def test_betti_from_certificate_frozen():
     cert = LinearQuotientCertificate((0, 1, 2), (0, 0b0010, 0b0001), True)
     table = betti_from_certificate(cert, [2, 2, 3])
-    assert table.entries == {(0, 2): 2, (0, 3): 1, (1, 3): 1, (1, 4): 1}
-    assert table.totals() == {0: 3, 1: 2}
-    assert table.pd() == 1
+    assert table.entries == {(0, 0): 1, (1, 2): 2, (1, 3): 1, (2, 3): 1, (2, 4): 1}
+    assert table.totals() == {0: 1, 1: 3, 2: 2}
+    assert table.pd() == 2
 
 
 def test_betti_from_certificate_needs_monotone_order():
@@ -163,8 +163,27 @@ def test_certificate_betti_agrees_with_homology(connected_through_6):
         if cert is None:
             continue
         degrees = [m.bit_count() for m in ideal.gens]
-        from_cert = ideal_table_to_quotient(betti_from_certificate(cert, degrees))
+        from_cert = betti_from_certificate(cert, degrees)
         assert from_cert.entries == hochster_betti(ideal).entries
+
+
+def test_certificate_betti_agrees_with_homology_on_mixed_degrees():
+    # edge ideals have all generators in degree 2; cover ideals mix degrees
+    checked = mixed = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            if g.edge_count() == 0:
+                continue
+            cover = GraphWorkup(g, GF2).cover
+            cert = linear_quotient_search(cover, degree_monotone=True)
+            if cert is None:
+                continue
+            degrees = [m.bit_count() for m in cover.gens]
+            assert betti_from_certificate(cert, degrees).entries == \
+                hochster_betti(cover, GF2).entries
+            checked += 1
+            mixed += len(set(degrees)) > 1
+    assert (checked, mixed) == (171, 117)
 
 
 def test_dual_decomposition_identities_hold_everywhere(graphs_through_5):
