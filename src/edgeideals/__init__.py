@@ -10,8 +10,7 @@ from .graphs import (DTreeCertificate, Graph, build_graph, canonical_form,
                      induced_subgraph, is_chordal, is_connected,
                      maximal_independent_sets, recognize_d_tree,
                      validate_d_tree_certificate, whisker)
-from .harness import (CHECKS, CheckResult, analyze, dtree_family_specs,
-                      verify_theorems)
+from .harness import CHECKS, analyze, dtree_family_specs, verify_theorems
 from .homology import (GF2, GF3, Q, FieldChoice, face_counts, hochster_betti,
                        parse_field, reduced_homology_ranks, reg_pd)
 from .ideals import (DualDecompositionReport, LinearQuotientCertificate,

@@ -41,7 +41,11 @@ def load_graph(arg: str) -> Graph:
     if arg == "-":
         return parse_input(sys.stdin.read())
     path = Path(arg)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. a name longer than the file system allows
+        is_file = False
+    if is_file:
         return parse_input(path.read_text())
     if ":" in arg:
         return family(arg)

@@ -19,13 +19,16 @@ from .limits import CapExceeded, check
 def read_ints(text: str, count: int, error: str, sep: str | None = None) -> list[int]:
     """Read exactly count integers from text split at sep (at whitespace by
     default). Each is an optional '-' and ASCII digits, with surrounding
-    whitespace allowed: no '+', underscores or other digits. Anything else
-    raises ValueError(error)."""
+    whitespace allowed: no '+', underscores or other digits. Anything else,
+    or a number too long for int() to convert, raises ValueError(error)."""
     parts = [t.strip() for t in text.split(sep)]
     digits = [t.removeprefix("-") for t in parts]
     if len(parts) != count or not all(d.isascii() and d.isdigit() for d in digits):
         raise ValueError(error)
-    return [int(t) for t in parts]
+    try:
+        return [int(t) for t in parts]
+    except ValueError:
+        raise ValueError(error) from None
 
 
 @dataclass(frozen=True)
@@ -253,23 +256,11 @@ def validate_d_tree_certificate(g: Graph, cert: DTreeCertificate) -> bool:
     return True
 
 
-def _path(k: int) -> Graph:
-    # path with k edges on k+1 vertices
-    return build_graph(k + 1, [(i, i + 1) for i in range(k)])
-
-
-def _cycle(k: int) -> Graph:
-    return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
-
-
-def _complete(k: int) -> Graph:
-    return build_graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
-
-
 def _random_d_tree(d: int, steps: int, seed: int) -> Graph:
     if d < 1:
         raise ValueError("d must be at least 1")
     n = d + 1 + steps
+    check("bitmask", n)
     rng = random.Random(seed)
     edges = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
     adj = list(build_graph(n, edges).adj)  # pads isolated vertices d+1..n-1
@@ -314,25 +305,27 @@ def family(spec: str) -> Graph:
         raise
     except ValueError as exc:
         raise ValueError(f"bad family arguments in {spec!r}: {exc}") from None
-    if name == "path":
-        if k < 0:
-            raise ValueError("path length must be non-negative")
-        return _path(k)
-    if name == "cycle":
-        if k < 3:
-            raise ValueError("cycle needs at least 3 vertices")
-        return _cycle(k)
-    if name == "complete":
-        if k < 1:
-            raise ValueError("complete graph needs at least 1 vertex")
-        return _complete(k)
-    if name == "edgeless":
-        if k < 0:
-            raise ValueError("vertex count must be non-negative")
-        return build_graph(k, [])
-    # pendant_cycle or capped_cycle
-    if k < 1:
+    if name == "path" and k < 0:
+        raise ValueError("path length must be non-negative")
+    if name == "cycle" and k < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    if name == "complete" and k < 1:
+        raise ValueError("complete graph needs at least 1 vertex")
+    if name == "edgeless" and k < 0:
+        raise ValueError("vertex count must be non-negative")
+    if name in ("pendant_cycle", "capped_cycle") and k < 1:
         raise ValueError("cycle parameter must be at least 1")
+    # refuse past the cap before listing any edge
+    check("bitmask", {"path": k + 1, "pendant_cycle": 2 * k + 2,
+                      "capped_cycle": 2 * k + 2}.get(name, k))
+    if name == "path":
+        return build_graph(k + 1, [(i, i + 1) for i in range(k)])
+    if name == "cycle":
+        return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
+    if name == "complete":
+        return build_graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+    if name == "edgeless":
+        return build_graph(k, [])
     m = 2 * k + 1
     edges = [(i, (i + 1) % m) for i in range(m)] + [(0, m)]
     if name == "capped_cycle":

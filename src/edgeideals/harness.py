@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .bitsets import bits
@@ -21,7 +20,7 @@ from .graphs import (Graph, adjacency_string, build_graph, canonical_form,
 from .complexes import _facet_complements, independence_complex
 from .homology import (GF2, FieldChoice, _betti_from_pass, hochster_betti,
                        restriction_homology)
-from .ideals import (betti_from_certificate, edge_ideal,
+from .ideals import (_colon_sets, betti_from_certificate, edge_ideal,
                      linear_quotient_search, verify_dual_decomposition)
 from .invariants import compute_invariants, is_triangle_free
 from .limits import check, fits
@@ -104,9 +103,9 @@ class GraphWorkup:
 
     @cached_property
     def edge_quotients(self):
-        """A degree-monotone linear-quotient order of the edge ideal, or None.
-        One exists iff the complement is chordal (Froberg; Herzog-Hibi-Zheng)."""
-        return (linear_quotient_search(self.ideal, degree_monotone=True)
+        """A linear-quotient order of the edge ideal, or None. One exists iff
+        the complement is chordal (Froberg; Herzog-Hibi-Zheng)."""
+        return (linear_quotient_search(self.ideal)
                 if self.complement_chordal else None)
 
     @cached_property
@@ -191,7 +190,7 @@ def _check_dtree_pd_maxdeg(w: GraphWorkup):
     data["linear_quotients"] = lq is not None
     if lq is None:
         return "fail", "edge ideal admits no linear-quotient order", data
-    table = betti_from_certificate(lq, [m.bit_count() for m in w.ideal.gens])
+    table = betti_from_certificate(w.ideal, lq)
     data["pd_quotients"] = table.pd()
     ok = ok and table.pd() == maxdeg
     return _verdict(ok), "", data
@@ -302,23 +301,6 @@ CHECK_ORDER = tuple(CHECKS)
 _FAMILY_CHECKS = ("dtree-min-degree", "dtree-pd-maxdeg")
 
 
-@dataclass
-class CheckResult:
-    check: str
-    subject: dict
-    status: str  # pass | fail | skip
-    reason: str = ""
-    data: dict = dc_field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        out = {"check": self.check, "subject": self.subject, "status": self.status}
-        if self.reason:
-            out["reason"] = self.reason
-        if self.data:
-            out["data"] = self.data
-        return out
-
-
 def dtree_family_specs(seed: int = 0) -> list[str]:
     """54 seeded d-tree specs with d in {1,2,3}, 4..10 vertices each."""
     specs = []
@@ -348,7 +330,12 @@ def _run_payload(payload) -> list[dict]:
     out = []
     for cid in checks:
         status, reason, data = CHECKS[cid][0](w)
-        out.append(CheckResult(cid, subject, status, reason, data).as_dict())
+        row = {"check": cid, "subject": subject, "status": status}
+        if reason:
+            row["reason"] = reason
+        if data:
+            row["data"] = data
+        out.append(row)
     return out
 
 
@@ -455,7 +442,8 @@ def analyze(g: Graph, field: FieldChoice = GF2) -> dict:
             report["edge_ideal_linear_quotients"] = (
                 None if lq is None else
                 {"order": [sorted(bits(gens[i])) for i in lq.order],
-                 "set_sizes": [s.bit_count() for s in lq.sets]})
+                 "set_sizes": [s.bit_count() for s in
+                               _colon_sets([gens[i] for i in lq.order])]})
 
     if fits("vertex_decomposition", g.n):
         report["vertex_decomposable"] = w.vd is not None

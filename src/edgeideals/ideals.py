@@ -32,12 +32,10 @@ class SquarefreeIdeal:
 
 @dataclass(frozen=True)
 class LinearQuotientCertificate:
-    """Admissible generator order plus, per position, the variables that
-    generate the colon ideal of the earlier generators."""
+    """An order of the generators, as indices into the ideal's gens, along
+    which degrees never decrease and every colon ideal is linear."""
 
     order: tuple[int, ...]
-    sets: tuple[int, ...]
-    degree_monotone: bool
 
 
 def _antichain(masks: Iterable[int]) -> list[int]:
@@ -89,15 +87,37 @@ def dual_ideal(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
     return squarefree_ideal(ideal.nvars, minimal_hitting_sets(ideal.gens))
 
 
-def linear_quotient_search(ideal: SquarefreeIdeal,
-                           degree_monotone: bool = False
-                           ) -> LinearQuotientCertificate | None:
-    """Exhaustive search for a linear-quotient order of the generators.
+def _colon_sets(monomials: list[int]) -> list[int] | None:
+    """For each position p, the variables that generate the colon ideal
+    (m_0, ..., m_{p-1}) : m_p, or None if some colon ideal is not linear.
+    That colon ideal is generated by the m_q with the variables of m_p
+    removed, so it is linear iff each of them contains one that is a single
+    variable."""
+    sets = []
+    for p, mp in enumerate(monomials):
+        earlier = monomials[:p]
+        singles = 0
+        for mq in earlier:
+            d = mq & ~mp
+            if d.bit_count() == 1:
+                singles |= d
+        for mq in earlier:
+            if not mq & ~mp & singles:
+                return None
+        sets.append(singles)
+    return sets
 
-    Tries generator indices in ascending order at every position, so the
-    first order found is lexicographically first.  Failed placed-generator
-    sets are memoised (admissibility of the next generator only depends on
-    the set, not the order it was placed in).
+
+def linear_quotient_search(ideal: SquarefreeIdeal) -> LinearQuotientCertificate | None:
+    """Exhaustive search for a linear-quotient order of the generators along
+    which degrees never decrease; an ideal with linear quotients has such an
+    order (Jahan and Zheng, "Ideals with linear quotients", JCTA 117 (2010),
+    Lemma 2.1).
+
+    Generators are sorted by (degree, mask). One is tried only once all of
+    lower degree are placed, in ascending index order, so the first order
+    found is lexicographically first. Failed placed-generator sets are
+    memoised (admissibility of the next generator only depends on the set).
     """
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("linear quotients are undefined for the zero and unit ideals")
@@ -109,82 +129,72 @@ def linear_quotient_search(ideal: SquarefreeIdeal,
     single = [[diff[j][i].bit_count() == 1 for i in range(m)] for j in range(m)]
     failed: set[int] = set()
     order: list[int] = []
-    sets: list[int] = []
 
-    def admissible(i: int) -> int | None:
+    def admissible(i: int) -> bool:
         singles = 0
         for j in order:
             if single[j][i]:
                 singles |= diff[j][i]
         for j in order:
             if not diff[j][i] & singles:
-                return None
-        return singles
+                return False
+        return True
 
-    def dfs(placed: int, maxdeg: int) -> bool:
+    def dfs(placed: int) -> bool:
         if len(order) == m:
             return True
         if placed in failed:
             return False
+        low = degs[(~placed & (placed + 1)).bit_length() - 1]  # first unplaced
         for i in range(m):
             if placed >> i & 1:
                 continue
-            if degree_monotone and degs[i] < maxdeg:
-                continue
-            s = admissible(i)
-            if s is None:
+            if degs[i] > low:
+                break
+            if not admissible(i):
                 continue
             order.append(i)
-            sets.append(s)
-            if dfs(placed | (1 << i), max(maxdeg, degs[i])):
+            if dfs(placed | (1 << i)):
                 return True
             order.pop()
-            sets.pop()
         failed.add(placed)
         return False
 
-    if dfs(0, 0):
-        return LinearQuotientCertificate(tuple(order), tuple(sets), degree_monotone)
+    if dfs(0):
+        return LinearQuotientCertificate(tuple(order))
     return None
+
+
+def _certified_colon_sets(ideal: SquarefreeIdeal,
+                          cert: LinearQuotientCertificate) -> list[int] | None:
+    """The colon sets along the certificate's order, or None if it does not
+    validate."""
+    if sorted(cert.order) != list(range(len(ideal.gens))):
+        return None
+    monomials = [ideal.gens[i] for i in cert.order]
+    degs = [m.bit_count() for m in monomials]
+    return _colon_sets(monomials) if degs == sorted(degs) else None
 
 
 def validate_linear_quotients(ideal: SquarefreeIdeal,
                               cert: LinearQuotientCertificate) -> bool:
-    """Recompute every colon ideal from scratch and check the certificate."""
-    gens = ideal.gens
-    m = len(gens)
-    if sorted(cert.order) != list(range(m)) or len(cert.sets) != m:
-        return False
-    if cert.degree_monotone:
-        degs = [gens[i].bit_count() for i in cert.order]
-        if any(a > b for a, b in zip(degs, degs[1:])):
-            return False
-    for pos in range(m):
-        i = cert.order[pos]
-        mins = _antichain(gens[j] & ~gens[i] for j in cert.order[:pos])
-        if any(d.bit_count() != 1 for d in mins):
-            return False
-        union = 0
-        for d in mins:
-            union |= d
-        if union != cert.sets[pos]:
-            return False
-    return True
+    """The order is a permutation of the generators, degrees never decrease
+    along it, and every colon ideal is linear."""
+    return _certified_colon_sets(ideal, cert) is not None
 
 
-def betti_from_certificate(cert: LinearQuotientCertificate,
-                           degrees: Iterable[int]) -> BettiTable:
-    """Graded Betti numbers of R/I for an ideal I with a degree-monotone
-    linear-quotient order: the mapping-cone resolution is minimal, so
-    beta_{0,0} = 1 and position p adds C(|sets[p]|, i) to
-    beta_{i+1, deg(p)+i}."""
-    if not cert.degree_monotone:
-        raise ValueError("Betti counts need a degree-monotone certificate")
-    degrees = list(degrees)
+def betti_from_certificate(ideal: SquarefreeIdeal,
+                           cert: LinearQuotientCertificate) -> BettiTable:
+    """Graded Betti numbers of R/I read off a linear-quotient order of I:
+    degrees never decrease along it, so the mapping-cone resolution is
+    minimal, beta_{0,0} = 1 and a generator of degree d whose colon ideal
+    has k generators adds C(k, s) to beta_{s+1, d+s}."""
+    colons = _certified_colon_sets(ideal, cert)
+    if colons is None:
+        raise ValueError("not a degree-increasing linear-quotient order of the ideal")
     entries = {(0, 0): 1}
-    for pos, i in enumerate(cert.order):
-        k = cert.sets[pos].bit_count()
-        d = degrees[i]
+    for i, colon in zip(cert.order, colons):
+        k, d = colon.bit_count(), ideal.gens[i].bit_count()
         for s in range(k + 1):
             key = (s + 1, s + d)
             entries[key] = entries.get(key, 0) + comb(k, s)

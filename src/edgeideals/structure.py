@@ -15,7 +15,7 @@ from .bitsets import bits
 from .complexes import SimplicialComplex, _facet_complements
 from .graphs import Graph, _independent_sets
 from .homology import GF2, FieldChoice, restriction_homology
-from .ideals import edge_ideal, linear_quotient_search
+from .ideals import _colon_sets, edge_ideal, linear_quotient_search
 from .limits import check
 
 
@@ -144,23 +144,14 @@ def root_shedding_vertex(cert: VDCert) -> int | None:
     return cert.vertex if isinstance(cert, VDNode) else None
 
 
-def _shelling_condition(facets: tuple[int, ...]) -> bool:
-    for j in range(1, len(facets)):
-        singles = 0
-        for l in range(j):
-            d = facets[j] & ~facets[l]
-            if d.bit_count() == 1:
-                singles |= d
-        for i in range(j):
-            if not facets[j] & ~facets[i] & singles:
-                return False
-    return True
-
-
 def validate_shelling(c: SimplicialComplex, cert: ShellingCertificate) -> bool:
+    """The facets in shelling order are a shelling iff their complements, in
+    the same order, have linear quotients: F_j - F_l is the generator of
+    the colon ideal of complement l by complement j."""
     if sorted(cert.facets) != sorted(c.facets):
         return False
-    return _shelling_condition(cert.facets)
+    full = c.full
+    return _colon_sets([full & ~f for f in cert.facets]) is not None
 
 
 def shellable(c: SimplicialComplex) -> ShellingCertificate | None:
@@ -169,7 +160,10 @@ def shellable(c: SimplicialComplex) -> ShellingCertificate | None:
     Found by transcribing a linear-quotient order of the Alexander dual of
     the Stanley-Reisner ideal, whose generators are the facet complements
     (for Ind(G), the cover ideal of G): the generator complementary to a
-    facet sits at the same position the facet takes in the shelling.
+    facet sits at the same position the facet takes in the shelling. The
+    search places generators by increasing degree, so facets come by
+    decreasing dimension; any shelling can be rearranged so (Bjorner and
+    Wachs, Trans. AMS 348 (1996), Rearrangement Lemma 2.6).
     """
     if len(c.facets) <= 1:
         return ShellingCertificate(c.facets)

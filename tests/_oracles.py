@@ -128,6 +128,23 @@ def minimal_nonfaces(c):
                   if not any(t < s for t in non))
 
 
+def colon_sets_by_antichain(monomials):
+    """For each position p of a sequence of squarefree monomials (variable
+    bitmasks), the union of the minimal generators of the colon ideal
+    (m_0, ..., m_{p-1}) : m_p, found by reducing the m_q / gcd(m_q, m_p) to
+    their minimal elements; None if one of those is not a single variable."""
+    width = max((m.bit_length() for m in monomials), default=0)
+    sets = [frozenset(v for v in range(width) if m >> v & 1) for m in monomials]
+    out = []
+    for p, mp in enumerate(sets):
+        quotients = {mq - mp for mq in sets[:p]}
+        mins = [q for q in quotients if not any(r < q for r in quotients)]
+        if any(len(q) != 1 for q in mins):
+            return None
+        out.append(sum(1 << v for q in mins for v in q))
+    return out
+
+
 def is_chordal(g):
     """No induced cycle of length four or more."""
     for r in range(4, g.n + 1):

@@ -191,6 +191,42 @@ def test_bad_input_exits_2(capsys, tmp_path):
     assert "path length must be non-negative" in capsys.readouterr().err
 
 
+
+def test_family_specs_past_the_bitmask_cap_exit_2(capsys):
+    # a spec is refused from its arguments; listing its edges first would
+    # exhaust memory or take minutes, so a hang fails here
+    def give_up(signum, frame):
+        raise TimeoutError("an over-cap family spec did not refuse within 10 s")
+
+    specs = ["path:100000000", "cycle:100000000", "complete:30000",
+             "pendant_cycle:100000000", "capped_cycle:100000000",
+             "dtree:100000000,1,0", "path:" + "9" * 200]
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        for spec in specs:
+            assert main(["analyze", spec]) == 2
+            assert "exceed the bitmask cap of 64" in capsys.readouterr().err
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_overlong_names_and_numbers_are_input_errors(tmp_path, capsys):
+    # a name too long for the file system is a family spec, not an OSError
+    spec = "path:" + "9" * 5000
+    assert main(["analyze", spec]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad family arguments in {spec!r}: path takes one integer\n")
+    # a number past int()'s digit limit gets the reader's own message
+    bad = tmp_path / "long.txt"
+    bad.write_text("9" * 5000 + " 1\n0 1\n")
+    assert main(["analyze", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: header must be two integers: n m\n"
+    bad.write_text("2 1\n0 " + "1" * 5000 + "\n")
+    assert main(["analyze", str(bad)]) == 2
+    assert "error: bad edge line: '0 111" in capsys.readouterr().err
+
 @pytest.mark.parametrize("option", ["--out", "--tsv"])
 def test_verify_refuses_an_unwritable_output_before_the_run(option, monkeypatch,
                                                            tmp_path, capsys):

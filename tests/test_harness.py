@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from edgeideals import (CHECKS, GF2, CheckResult, analyze, build_graph,
+from edgeideals import (CHECKS, GF2, analyze, build_graph,
                         canonical_form, canonical_graph, complement,
                         dtree_family_specs, enumerate_graphs, family,
                         recognize_d_tree, verify_theorems)
@@ -230,13 +230,14 @@ def test_check_descriptions_are_single_lines():
         assert text and "\n" not in text
 
 
-def test_check_result_as_dict_drops_empty_fields():
-    row = CheckResult("x", {"kind": "enumerated"}, "pass")
-    assert row.as_dict() == {"check": "x", "subject": {"kind": "enumerated"},
-                             "status": "pass"}
-    row = CheckResult("x", {}, "skip", reason="why", data={"k": 1})
-    assert row.as_dict()["reason"] == "why"
-    assert row.as_dict()["data"] == {"k": 1}
+def test_check_rows_drop_empty_reason_and_data():
+    rows = verify_theorems(max_n=2, checks=["dual-pd-reg"],
+                           with_families=False)["results"]
+    skip, passed = rows  # K1 has no edges; K2 passes
+    assert skip == {"check": "dual-pd-reg", "subject": skip["subject"],
+                    "status": "skip", "reason": "no edges"}
+    assert passed == {"check": "dual-pd-reg", "subject": passed["subject"],
+                      "status": "pass", "data": {"reg": 1, "dual_ideal_pd": 1}}
 
 
 def test_analyze_pendant_triangle():

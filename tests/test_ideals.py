@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import _oracles as oracle
@@ -6,10 +8,11 @@ from edgeideals import (GF2, LinearQuotientCertificate, betti_from_certificate,
                         enumerate_graphs, family, hochster_betti,
                         independence_complex, is_chordal,
                         linear_quotient_search, minimal_hitting_sets,
-                        minimal_vertex_covers, squarefree_ideal,
+                        minimal_vertex_covers, shellable, squarefree_ideal,
                         validate_linear_quotients, verify_dual_decomposition)
 from edgeideals.bitsets import bits
 from edgeideals.harness import GraphWorkup
+from edgeideals.ideals import _colon_sets
 
 
 def test_squarefree_ideal_reduces_to_antichain():
@@ -69,11 +72,9 @@ def test_dual_ideal_is_involution(graphs_through_5):
 
 def test_linear_quotient_search_frozen():
     ideal = squarefree_ideal(4, [0b0011, 0b0101, 0b1110])
-    cert = linear_quotient_search(ideal, degree_monotone=True)
-    assert cert is not None
-    assert cert.order == (0, 1, 2)
-    assert cert.sets == (0, 0b0010, 0b0001)
-    assert cert.degree_monotone
+    cert = linear_quotient_search(ideal)
+    assert cert == LinearQuotientCertificate((0, 1, 2))
+    assert _colon_sets([ideal.gens[i] for i in cert.order]) == [0, 0b0010, 0b0001]
     assert validate_linear_quotients(ideal, cert)
 
 
@@ -85,7 +86,7 @@ def test_linear_quotient_search_failure():
 def test_linear_quotient_single_generator():
     ideal = squarefree_ideal(3, [0b101])
     cert = linear_quotient_search(ideal)
-    assert cert.order == (0,) and cert.sets == (0,)
+    assert cert.order == (0,) and _colon_sets([0b101]) == [0]
 
 
 def test_linear_quotient_search_rejects_degenerate_ideals():
@@ -97,23 +98,43 @@ def test_linear_quotient_search_rejects_degenerate_ideals():
 
 def test_linear_quotient_order_is_lex_first():
     path = edge_ideal(family("path:2"))
-    cert = linear_quotient_search(path, degree_monotone=True)
+    cert = linear_quotient_search(path)
     assert cert.order == (0, 1)
 
 
-def test_monotone_implies_plain_linear_quotients(graphs_through_5):
-    for g in graphs_through_5:
-        ideal = dual_ideal(edge_ideal(g))
-        if ideal.is_zero or ideal.is_unit:
-            continue
-        monotone = linear_quotient_search(ideal, degree_monotone=True)
-        plain = linear_quotient_search(ideal)
-        if monotone is not None:
-            assert plain is not None
-            assert validate_linear_quotients(ideal, monotone)
-        if plain is not None:
-            assert validate_linear_quotients(ideal, plain)
+def test_cover_ideal_certificates_are_degree_increasing():
+    # the search places generators by degree, so shellings come by
+    # decreasing dimension; the shelling tests in test_structure compare
+    # it with backtracking that has no degree rule
+    found = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, connected_only=False):
+            if g.edge_count() == 0:
+                continue
+            cover = GraphWorkup(g, GF2).cover
+            cert = linear_quotient_search(cover)
+            if cert is None:
+                continue
+            found += 1
+            degs = [cover.gens[i].bit_count() for i in cert.order]
+            assert degs == sorted(degs), g
+            assert validate_linear_quotients(cover, cert)
+            dims = [f.bit_count() for f in shellable(independence_complex(g)).facets]
+            assert dims == sorted(dims, reverse=True), g
+    assert found > 100
 
+
+def test_colon_sets_match_the_antichain_oracle():
+    rng = random.Random(19)
+    linear = nonlinear = 0
+    for _ in range(2000):
+        nvars = rng.randint(1, 6)
+        seq = [rng.randrange(1 << nvars) for _ in range(rng.randint(1, 7))]
+        got = _colon_sets(seq)
+        assert got == oracle.colon_sets_by_antichain(seq), seq
+        linear += got is not None
+        nonlinear += got is None
+    assert linear > 200 and nonlinear > 200
 
 
 def test_edge_ideal_has_linear_quotients_iff_complement_is_chordal():
@@ -123,33 +144,37 @@ def test_edge_ideal_has_linear_quotients_iff_complement_is_chordal():
         for g in enumerate_graphs(n, connected_only=False):
             if g.edge_count() == 0:
                 continue
-            found = linear_quotient_search(edge_ideal(g), degree_monotone=True)
+            found = linear_quotient_search(edge_ideal(g))
             assert (found is not None) == (is_chordal(complement(g)) is not None), g
 
 def test_validate_linear_quotients_rejects_tampering():
     ideal = squarefree_ideal(4, [0b0011, 0b0101, 0b1110])
-    cert = linear_quotient_search(ideal, degree_monotone=True)
-    bad_sets = LinearQuotientCertificate(cert.order, (0, 0b0010, 0b0011),
-                                         cert.degree_monotone)
-    assert not validate_linear_quotients(ideal, bad_sets)
-    bad_order = LinearQuotientCertificate((2, 1, 0), cert.sets, True)
-    assert not validate_linear_quotients(ideal, bad_order)
-    short = LinearQuotientCertificate((0, 1), cert.sets[:2], True)
+    assert validate_linear_quotients(ideal, linear_quotient_search(ideal))
+    decreasing = LinearQuotientCertificate((2, 1, 0))
+    assert not validate_linear_quotients(ideal, decreasing)
+    short = LinearQuotientCertificate((0, 1))
     assert not validate_linear_quotients(ideal, short)
+    path = edge_ideal(family("path:3"))  # 01, 12, 23
+    assert validate_linear_quotients(path, LinearQuotientCertificate((0, 1, 2)))
+    assert not validate_linear_quotients(path, LinearQuotientCertificate((0, 2, 1)))
 
 
 def test_betti_from_certificate_frozen():
-    cert = LinearQuotientCertificate((0, 1, 2), (0, 0b0010, 0b0001), True)
-    table = betti_from_certificate(cert, [2, 2, 3])
+    ideal = squarefree_ideal(4, [0b0011, 0b0101, 0b1110])
+    table = betti_from_certificate(ideal, LinearQuotientCertificate((0, 1, 2)))
     assert table.entries == {(0, 0): 1, (1, 2): 2, (1, 3): 1, (2, 3): 1, (2, 4): 1}
     assert table.totals() == {0: 1, 1: 3, 2: 2}
     assert table.pd() == 2
 
 
 def test_betti_from_certificate_needs_monotone_order():
-    cert = LinearQuotientCertificate((0,), (0,), False)
+    ideal = squarefree_ideal(4, [0b0011, 0b0101, 0b1110])
+    for order in ((2, 1, 0), (0, 2, 1), (0, 1)):
+        with pytest.raises(ValueError):
+            betti_from_certificate(ideal, LinearQuotientCertificate(order))
+    path = edge_ideal(family("path:3"))
     with pytest.raises(ValueError):
-        betti_from_certificate(cert, [2])
+        betti_from_certificate(path, LinearQuotientCertificate((0, 2, 1)))
 
 
 def test_certificate_betti_agrees_with_homology(connected_through_6):
@@ -159,11 +184,10 @@ def test_certificate_betti_agrees_with_homology(connected_through_6):
         ideal = edge_ideal(g)
         if ideal.is_zero:
             continue
-        cert = linear_quotient_search(ideal, degree_monotone=True)
+        cert = linear_quotient_search(ideal)
         if cert is None:
             continue
-        degrees = [m.bit_count() for m in ideal.gens]
-        from_cert = betti_from_certificate(cert, degrees)
+        from_cert = betti_from_certificate(ideal, cert)
         assert from_cert.entries == hochster_betti(ideal).entries
 
 
@@ -175,11 +199,11 @@ def test_certificate_betti_agrees_with_homology_on_mixed_degrees():
             if g.edge_count() == 0:
                 continue
             cover = GraphWorkup(g, GF2).cover
-            cert = linear_quotient_search(cover, degree_monotone=True)
+            cert = linear_quotient_search(cover)
             if cert is None:
                 continue
             degrees = [m.bit_count() for m in cover.gens]
-            assert betti_from_certificate(cert, degrees).entries == \
+            assert betti_from_certificate(cover, cert).entries == \
                 hochster_betti(cover, GF2).entries
             checked += 1
             mixed += len(set(degrees)) > 1

@@ -67,6 +67,30 @@ def test_capped_search_refuses_cap_plus_one(name, call):
     assert str(cap) in message and str(cap + 1) in message and name in message
 
 
+
+# family specs far past the bitmask cap, each with an edge list that does not
+# fit in memory
+OVER_CAP_SPECS = ["path:100000000", "cycle:100000000", "complete:30000",
+                  "pendant_cycle:100000000", "capped_cycle:100000000",
+                  "dtree:100000000,1,0"]
+
+
+@pytest.mark.parametrize("spec", OVER_CAP_SPECS)
+def test_family_past_the_bitmask_cap_refuses_before_listing_edges(spec):
+    def give_up(signum, frame):
+        raise TimeoutError(f"family({spec!r}) did not refuse within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(5)
+    try:
+        with pytest.raises(CapExceeded) as info:
+            family(spec)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert info.value.name == "bitmask"
+    assert info.value.value > 64
+
 def test_analyze_complete_12_keeps_the_report_past_the_generator_cap():
     report = analyze(family("complete:12"))
     assert (report["reg"], report["pd"]) == (1, 11)
