@@ -28,3 +28,17 @@ def submasks(mask: int) -> Iterator[int]:
         if s == mask:
             return
         s = (s - mask) & mask
+
+
+def vertex_masks(n: int) -> list[int]:
+    """Per vertex v below n, the 2^n-bit int whose bit S is set iff v is in
+    S: runs of 2^v clear and 2^v set bits, repeated."""
+    out = []
+    for v in range(n):
+        run = 1 << v
+        x, width = ((1 << run) - 1) << run, 2 * run
+        while width < 1 << n:
+            x |= x << width
+            width *= 2
+        out.append(x)
+    return out

@@ -20,8 +20,8 @@ from .graphs import (Graph, adjacency_string, build_graph, canonical_form,
 from .complexes import _facet_complements, independence_complex
 from .homology import (GF2, FieldChoice, _betti_from_pass, hochster_betti,
                        restriction_homology)
-from .ideals import (_colon_sets, betti_from_certificate, edge_ideal,
-                     linear_quotient_search, verify_dual_decomposition)
+from .ideals import (_colon_sets, _dual_decomposition, betti_from_certificate,
+                     edge_ideal, linear_quotient_search)
 from .invariants import compute_invariants, is_triangle_free
 from .limits import check, fits
 from .structure import (_reducing_vertex, root_shedding_vertex, shellable,
@@ -242,7 +242,7 @@ def _check_dual_decomposition(w: GraphWorkup):
     x = root_shedding_vertex(w.vd)
     if x is None:
         return "skip", "decomposition has no shedding vertex", {}
-    rep = verify_dual_decomposition(w.g, x)
+    rep = _dual_decomposition(w.g, x, w.cover.gens)
     data = {"vertex": x, "sum_identity": rep.sum_identity,
             "intersection_identity": rep.intersection_identity}
     return _verdict(rep.ok), "", data

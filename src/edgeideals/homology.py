@@ -16,13 +16,13 @@ would all reduce to zero.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .betti import BettiTable
-from .bitsets import bits, mask_of, submasks
+from .bitsets import bits, mask_of, submasks, vertex_masks
 from .complexes import SimplicialComplex
 from .graphs import Graph, read_ints
 from .ideals import SquarefreeIdeal, edge_ideal
@@ -225,20 +225,89 @@ def reduced_homology_ranks(c: SimplicialComplex, field: FieldChoice = GF2) -> di
     return _ranks_from_faces(c.faces(), field)
 
 
-def _unions_inside(gens: Iterable[int], n: int) -> array:
-    """Entry S: the union of the sets in gens inside S, for S below 2^n. An
-    OR-zeta transform: each pass ORs the lower half into the upper (top bit)
-    and interleaves the halves, which rotates the index bits left, so after
-    n passes every bit has been the top one once."""
-    table = array("Q", bytes(8 << n))
+# rule codes of the restriction pass, one byte per subset: 0 for a cone, 1
+# for the kernel, and 4w + 2 or 4w + 3 for a fold or an isolated point that
+# takes w off the subset
+KERNEL, FOLD, POINT = 1, 2, 3
+_BIT_BYTE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _spread(x: int, size: int) -> int:
+    """The int whose byte S is bit S of x, 0 or 1, for S below size."""
+    return int.from_bytes(format(x, f"0{size}b").encode().translate(_BIT_BYTE), "big")
+
+
+def _rule_tables(gens: tuple[int, ...], n: int) -> tuple[bytes, bytes]:
+    """(rule, face) for the restriction pass over the ideal with these
+    generators in n variables: byte S of rule is the code of the first of
+    its rules that holds at S, and byte S of face is 1 iff S is a face.
+    Each rule is decided for every S at once, on 2^n-bit ints whose bit S
+    stands for S."""
+    size = 1 << n
+    full = (1 << size) - 1
+    has = vertex_masks(n)
+
+    def any_of(vs: int) -> int:  # the subsets meeting vs
+        out = 0
+        for v in bits(vs):
+            out |= has[v]
+        return out
+
+    # inside[m]: the subsets holding the generator m; through[v]: those
+    # holding a generator through v; S is a face iff it holds none, and a
+    # cone iff it holds a vertex that no generator inside S goes through
+    inside = {}
+    through = [0] * n
+    nonfaces = 0
     for m in gens:
-        table[m] = m
-    half = len(table) >> 1
-    for _ in range(n):
-        low, high = table[:half], table[half:]
-        table[0::2] = low
-        table[1::2] = array("Q", [a | b for a, b in zip(low, high)])
-    return table
+        x = full
+        for v in bits(m):
+            x &= has[v]
+        inside[m] = x
+        nonfaces |= x
+        for v in bits(m):
+            through[v] |= x
+    faces = full & ~nonfaces
+    cone = 0
+    for v in range(n):
+        cone |= has[v] & ~through[v]
+    # (subsets, code) per rule, in priority order: an isolated point w is
+    # alone in S if S meets none of its neighbours, the v with {w, v} a face;
+    # u folds w off S if S holds both and none of the generators that keep u
+    # from coning off the link of w: near holds their one-vertex remainders
+    # m - u, longer the others (none for an edge ideal)
+    rules = []
+    for w in range(n):
+        if faces >> (1 << w) & 1:
+            others = mask_of(v for v in range(n) if v != w and faces >> ((1 << w) | (1 << v)) & 1)
+            rules.append((has[w] & ~any_of(others), 4 * w + POINT))
+    folds = [0] * n
+    for u in range(n):
+        rest = [(m ^ (1 << u), m) for m in gens if m >> u & 1]
+        for w in range(n):
+            if w == u or not faces >> ((1 << u) | (1 << w)) & 1:
+                continue
+            off, block = 0, has[u] & has[w]
+            for r, m in rest:
+                if faces >> (r | (1 << w)) & 1:
+                    if r & (r - 1):
+                        block &= ~inside[m]
+                    else:
+                        off |= r
+            folds[w] |= block & ~any_of(off)
+    rules += [(x, 4 * w + FOLD) for w, x in enumerate(folds)]
+    # rule[S]: the code of the first rule that holds at S, read off one
+    # 2^n-bit plane per bit of the code
+    taken = cone
+    planes = [0] * 8
+    for x, code in rules:
+        x &= ~taken
+        taken |= x
+        for k in bits(code):
+            planes[k] |= x
+    planes[0] |= full & ~taken
+    rule = sum(_spread(x, size) << k for k, x in enumerate(planes)).to_bytes(size, "little")
+    return rule, _spread(faces, size).to_bytes(size, "little")
 
 
 def restriction_homology(ideal: SquarefreeIdeal,
@@ -262,76 +331,40 @@ def restriction_homology(ideal: SquarefreeIdeal,
     one to S - w (for an edge ideal: u, w non-adjacent and N(u) within S
     inside N(w), Engstrom's fold lemma). Only the rest reach a rank kernel:
     on the 12-vertex graphs `analyze` is benchmarked on, 548 of their
-    45,056 restrictions, one (S empty) on complete:12 and each co-d-tree."""
+    45,056 restrictions, one (S empty) on complete:12 and each co-d-tree.
+
+    The rules are decided for every S at once and spread into one byte of
+    rule code per S (`_rule_tables`); the pass then walks the non-cone
+    subsets only. Which rule applies is a property of S, so the cost does
+    not depend on the labels."""
     if ideal.is_unit:
         raise ValueError("Betti numbers of the unit quotient are undefined")
     n = ideal.nvars
     check("subset_homology", n)
-    # covered[S]: the union of the generators inside S; S is a face iff 0.
-    # The 2^n-entry tables are machine-word arrays, which hold no int objects
-    covered = _unions_inside(ideal.gens, n)
-    # lonely[S]: the points w ({w} a face) with {w, v} a non-face for every
-    # v in S other than w, so those in S are isolated points of S; built by
-    # doubling, lonely[S + v] = lonely[S] & alone[v]
-    points = mask_of(w for w in range(n) if not covered[1 << w])
-    alone = [points & mask_of(w for w in range(n) if w == v or covered[(1 << w) | (1 << v)])
-             for v in range(n)]
-    lonely = array("Q", [points])
-    for v in range(n):
-        lonely += array("Q", [x & alone[v] for x in lonely])
-    # fold[u]: (u + w + near, u + w, longer) per face {u, w}, from the
-    # generators m that stop u from coning off the link of w: near is the
-    # union of their one-vertex remainders m - u, longer lists the others
-    # (none for an edge ideal), so u folds w off S iff S & (u + w + near)
-    # == u + w and no generator in longer lies inside S
-    fold: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(n)]
-    for u in range(n):
-        mine = [m for m in ideal.gens if m >> u & 1]
-        for w in range(n):
-            pair = (1 << u) | (1 << w)
-            if w != u and not covered[pair]:
-                near, longer = 0, []
-                for m in mine:
-                    r = m ^ (1 << u)
-                    if not covered[r | (1 << w)]:
-                        if r & (r - 1):
-                            longer.append(m)
-                        else:
-                            near |= r
-                fold[u].append((pair | near, pair, longer))
+    rule, face = _rule_tables(ideal.gens, n)
     # found[S]: the nonzero ranks of S, for the rules of later subsets; one
     # dict per distinct table, since a pass repeats a few tables many times.
     # point: by the id of such a table (None for zero), that table plus a
     # point; tables holds every table, so no id is reused during the pass
-    found: list[dict[int, int] | None] = [None] * len(covered)
+    found: list[dict[int, int] | None] = [None] * len(rule)
     tables: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
     point: dict[int, dict[int, int]] = {}
-    for s in range(len(covered)):
-        if covered[s] != s:
-            continue
-        w = s & lonely[s]
-        if w:
-            below = found[s ^ (w & -w)]
-            ranks = point.get(id(below))
-            if ranks is None:
-                ranks = dict(below or {})
-                ranks[0] = ranks.get(0, 0) + 1
-                key = tuple(sorted(ranks.items()))
-                ranks = point[id(below)] = tables.setdefault(key, dict(key))
+    for s, code in compress(enumerate(rule), rule):
+        if code == KERNEL:
+            ranks = _ranks_from_faces([f for f in submasks(s) if face[f]], field)
+            nonzero = tuple((d, r) for d, r in ranks.items() if r)
+            ranks = tables.setdefault(nonzero, dict(nonzero))
         else:
-            for u in bits(s):
-                for keep, pair, longer in fold[u]:
-                    if s & keep == pair and all(m & ~s for m in longer):
-                        w = pair ^ (1 << u)
-                        break
-                if w:
-                    break
-            if w:
-                ranks = found[s ^ w]
+            below = found[s ^ (1 << (code >> 2))]
+            if code & 3 == FOLD:
+                ranks = below
             else:
-                ranks = _ranks_from_faces([f for f in submasks(s) if not covered[f]], field)
-                nonzero = tuple((d, r) for d, r in ranks.items() if r)
-                ranks = tables.setdefault(nonzero, dict(nonzero))
+                ranks = point.get(id(below))
+                if ranks is None:
+                    ranks = dict(below or {})
+                    ranks[0] = ranks.get(0, 0) + 1
+                    key = tuple(sorted(ranks.items()))
+                    ranks = point[id(below)] = tables.setdefault(key, dict(key))
         if ranks:
             found[s] = ranks
             yield s, ranks

@@ -224,17 +224,24 @@ def verify_dual_decomposition(g: Graph, x: int) -> DualDecompositionReport:
         raise ValueError("vertex out of range")
     if g.edge_count() == 0:
         raise ValueError("graph needs at least one edge")
+    return _dual_decomposition(g, x, _antichain(_covers(g, g.full)))
+
+
+def _covers(g: Graph, sub: int) -> list[int]:
+    """The minimal vertex covers of G[sub]: the cover ideal's generators."""
+    return [sub & ~f for f in maximal_independent_sets(g, sub)]
+
+
+def _dual_decomposition(g: Graph, x: int, cover_gens) -> DualDecompositionReport:
+    """verify_dual_decomposition, given the cover ideal's generators sorted
+    by (degree, mask)."""
     xbit = 1 << x
     nbhd = g.adj[x]
-
-    def covers(sub: int) -> list[int]:  # the cover ideal of G[sub]
-        return [sub & ~f for f in maximal_independent_sets(g, sub)]
-
-    left = [m | xbit for m in covers(g.full & ~xbit)]
-    h2_dual = covers(g.full & ~xbit & ~nbhd)
+    left = [m | xbit for m in _covers(g, g.full & ~xbit)]
+    h2_dual = _covers(g, g.full & ~xbit & ~nbhd)
     right = [m | nbhd for m in h2_dual]
 
-    sum_ok = _antichain(left + right) == _antichain(covers(g.full))
+    sum_ok = _antichain(left + right) == list(cover_gens)
 
     inter = _antichain(a | b for a in left for b in right)
     expect = _antichain(m | xbit | nbhd for m in h2_dual)

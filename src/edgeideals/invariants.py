@@ -32,6 +32,36 @@ def _pair_induced(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> bool:
     return not (g.adj[a] | g.adj[b]) & ((1 << c) | (1 << d))
 
 
+def _compatible_rows(units: list[tuple[int, ...]], compatible) -> list[int]:
+    """Row i: the units j > i disjoint from unit i that go with it, as a
+    bitmask of indices. The search only adds units after the last one it
+    took, so the rows hold no earlier ones. Disjointness comes from the
+    units touching each vertex; compatible is asked only about two disjoint
+    two-vertex units."""
+    touching: dict[int, int] = {}
+    longer = 0
+    for j, u in enumerate(units):
+        for v in u:
+            touching[v] = touching.get(v, 0) | 1 << j
+        if len(u) > 2:
+            longer |= 1 << j
+    every = (1 << len(units)) - 1
+    rows = []
+    for i, u in enumerate(units):
+        free = every & -(2 << i)
+        for v in u:
+            free &= ~touching[v]
+        if len(u) > 2:
+            rows.append(free)
+            continue
+        row = free & longer
+        for j in bits(free & ~longer):
+            if compatible(u, units[j]):
+                row |= 1 << j
+        rows.append(row)
+    return rows
+
+
 def _best_compatible(units: list[tuple[int, ...]], compatible) -> list[tuple[int, ...]]:
     """Largest set of pairwise vertex-disjoint units that also pass the pair
     predicate compatible(earlier, later) (a max clique in the compatibility
@@ -49,22 +79,12 @@ def _best_compatible(units: list[tuple[int, ...]], compatible) -> list[tuple[int
     cannot strictly beat the best set found, so the witness is the one the
     search bounded by the candidate count alone finds in the same order.
     """
-    # the search only adds units after the last one it took, so compat[i]
-    # holds the compatible units j > i only
-    masks = [mask_of(u) for u in units]
-    compat: list[int] = []
+    compat = _compatible_rows(units, compatible)
     of_size: dict[int, int] = {}
     used = 0
     for i, u in enumerate(units):
-        m = masks[i]
-        row = 0
-        for j in range(i + 1, len(units)):
-            if not m & masks[j] and (len(u) > 2 or len(units[j]) > 2
-                                     or compatible(u, units[j])):
-                row |= 1 << j
-        compat.append(row)
         of_size[len(u)] = of_size.get(len(u), 0) | 1 << i
-        used |= m
+        used |= mask_of(u)
     by_size = sorted(of_size.items())
     best = 0
     best_set: list[int] = []

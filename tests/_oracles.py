@@ -13,7 +13,8 @@ without homotopy reductions, which computes every non-face restriction; it
 is the reference for the pass that skips cones and folds. Both take their
 ranks from the dense kernels here, not from the package's sparse ones.
 Next is the invariant search bounded only by its candidate count, the
-reference for the package's search with the vertex-capacity bound. The
+reference for the package's search with the vertex-capacity bound, and the
+pair-by-pair build of its compatibility rows. The
 last is the degree-d simplicial peel that recognised d-trees before the
 chordal peel did, the reference for `recognize_d_tree`. The very last is the
 isomorph-free enumeration that canonically labels every extension of every
@@ -22,14 +23,17 @@ smaller class, the reference for the maximum-degree filter of
 checked against every relabelling on its own. After it comes the boundary-rank
 loop that eliminates every boundary map in full, bottom-up, the reference
 for the clearing in `homology._ranks_from_faces`; it runs the package's own
-kernels on every row.
+kernels on every row. The very end is the restriction pass that tests its
+three rules on each subset in turn, the reference for the pass that reads
+them off whole-table bitsets.
 """
 
 import random
+from array import array
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from edgeideals import (BettiTable, Graph, build_graph, edge_ideal,
+from edgeideals import (BettiTable, Graph, build_graph, edge_ideal, homology,
                         induced_subgraph, minimal_hitting_sets,
                         simplicial_complex)
 from edgeideals.bitsets import bits, mask_of, submasks
@@ -547,6 +551,22 @@ def best_compatible_by_count(units, compatible):
     return [units[i] for i in best_set]
 
 
+def compatible_rows_by_pairs(units, compatible):
+    """The rows of `invariants._compatible_rows`, from testing every later
+    unit for disjointness in turn: row i holds the units j > i disjoint from
+    unit i that go with it."""
+    masks = [mask_of(u) for u in units]
+    rows = []
+    for i, u in enumerate(units):
+        row = 0
+        for j in range(i + 1, len(units)):
+            if not masks[i] & masks[j] and (len(u) > 2 or len(units[j]) > 2
+                                            or compatible(u, units[j])):
+                row |= 1 << j
+        rows.append(row)
+    return rows
+
+
 def recognize_d_tree_by_degree_peel(g):
     """(d, eliminated vertices) if g is a d-tree, else None: d is n - 1 for a
     complete graph and the minimum degree otherwise; simplicial vertices of
@@ -609,3 +629,103 @@ def ranks_without_clearing(faces, field):
         nullity = len(by_dim[d]) - brank.get(d, 0)
         out[d] = nullity - brank.get(d + 1, 0)
     return out
+
+
+def _unions_inside(gens, n):
+    """Entry S: the union of the sets in gens inside S, for S below 2^n. An
+    OR-zeta transform: each pass ORs the lower half into the upper (top bit)
+    and interleaves the halves, which rotates the index bits left, so after
+    n passes every bit has been the top one once."""
+    table = array("Q", bytes(8 << n))
+    for m in gens:
+        table[m] = m
+    half = len(table) >> 1
+    for _ in range(n):
+        low, high = table[:half], table[half:]
+        table[0::2] = low
+        table[1::2] = array("Q", [a | b for a, b in zip(low, high)])
+    return table
+
+
+def restriction_homology_by_subset_rules(ideal, field):
+    """The restriction pass that tests its rules subset by subset: a cone
+    from the OR-zeta table of the unions of the generators inside each S,
+    an isolated point from a doubling table of the points alone against
+    every vertex of S, and a fold by trying every face {u, w} with u in S,
+    in label order. It is the reference for `homology.restriction_homology`,
+    which decides each rule for every S at once; it yields the same
+    (S, ranks) sequence, shares the same dicts, and hands the package's
+    kernel `homology._ranks_from_faces` the same face lists in the same
+    order."""
+    if ideal.is_unit:
+        raise ValueError("Betti numbers of the unit quotient are undefined")
+    n = ideal.nvars
+    check("subset_homology", n)
+    # covered[S]: the union of the generators inside S; S is a face iff 0.
+    # The 2^n-entry tables are machine-word arrays, which hold no int objects
+    covered = _unions_inside(ideal.gens, n)
+    # lonely[S]: the points w ({w} a face) with {w, v} a non-face for every
+    # v in S other than w, so those in S are isolated points of S; built by
+    # doubling, lonely[S + v] = lonely[S] & alone[v]
+    points = mask_of(w for w in range(n) if not covered[1 << w])
+    alone = [points & mask_of(w for w in range(n) if w == v or covered[(1 << w) | (1 << v)])
+             for v in range(n)]
+    lonely = array("Q", [points])
+    for v in range(n):
+        lonely += array("Q", [x & alone[v] for x in lonely])
+    # fold[u]: (u + w + near, u + w, longer) per face {u, w}, from the
+    # generators m that stop u from coning off the link of w: near is the
+    # union of their one-vertex remainders m - u, longer lists the others
+    # (none for an edge ideal), so u folds w off S iff S & (u + w + near)
+    # == u + w and no generator in longer lies inside S
+    fold: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(n)]
+    for u in range(n):
+        mine = [m for m in ideal.gens if m >> u & 1]
+        for w in range(n):
+            pair = (1 << u) | (1 << w)
+            if w != u and not covered[pair]:
+                near, longer = 0, []
+                for m in mine:
+                    r = m ^ (1 << u)
+                    if not covered[r | (1 << w)]:
+                        if r & (r - 1):
+                            longer.append(m)
+                        else:
+                            near |= r
+                fold[u].append((pair | near, pair, longer))
+    # found[S]: the nonzero ranks of S, for the rules of later subsets; one
+    # dict per distinct table, since a pass repeats a few tables many times.
+    # point: by the id of such a table (None for zero), that table plus a
+    # point; tables holds every table, so no id is reused during the pass
+    found: list[dict[int, int] | None] = [None] * len(covered)
+    tables: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+    point: dict[int, dict[int, int]] = {}
+    for s in range(len(covered)):
+        if covered[s] != s:
+            continue
+        w = s & lonely[s]
+        if w:
+            below = found[s ^ (w & -w)]
+            ranks = point.get(id(below))
+            if ranks is None:
+                ranks = dict(below or {})
+                ranks[0] = ranks.get(0, 0) + 1
+                key = tuple(sorted(ranks.items()))
+                ranks = point[id(below)] = tables.setdefault(key, dict(key))
+        else:
+            for u in bits(s):
+                for keep, pair, longer in fold[u]:
+                    if s & keep == pair and all(m & ~s for m in longer):
+                        w = pair ^ (1 << u)
+                        break
+                if w:
+                    break
+            if w:
+                ranks = found[s ^ w]
+            else:
+                ranks = homology._ranks_from_faces([f for f in submasks(s) if not covered[f]], field)
+                nonzero = tuple((d, r) for d, r in ranks.items() if r)
+                ranks = tables.setdefault(nonzero, dict(nonzero))
+        if ranks:
+            found[s] = ranks
+            yield s, ranks

@@ -5,9 +5,10 @@ import pytest
 
 from edgeideals import (CHECKS, GF2, analyze, build_graph,
                         canonical_form, canonical_graph, complement,
-                        dtree_family_specs, enumerate_graphs, family,
-                        recognize_d_tree, verify_theorems)
-from edgeideals.harness import GraphWorkup
+                        dtree_family_specs, enumerate_graphs, family, ideals,
+                        recognize_d_tree, root_shedding_vertex,
+                        verify_dual_decomposition, verify_theorems)
+from edgeideals.harness import GraphWorkup, _check_dual_decomposition, _verdict
 
 
 def test_verify_theorems_small_run_has_no_failures():
@@ -282,3 +283,33 @@ def test_analyze_respects_field():
     report = analyze(build_graph(2, [(0, 1)]), Q)
     assert report["field"] == "q"
     assert report["betti"] == [[0, 0, 1], [1, 2, 1]]
+
+
+def test_dual_decomposition_check_reuses_the_workup_cover(monkeypatch):
+    # the check searches G - x and G - N[x] only; the whole graph's maximal
+    # independent sets are the workup's, and its rows are unchanged
+    calls = []
+    search = ideals.maximal_independent_sets
+
+    def counting(g, within=None):
+        calls.append(within)
+        return search(g, within)
+
+    checked = 0
+    for g in [g for n in range(2, 7) for g in enumerate_graphs(n)]:
+        w = GraphWorkup(g, GF2)
+        if w.vd is None or root_shedding_vertex(w.vd) is None:
+            continue
+        w.cover
+        monkeypatch.setattr(ideals, "maximal_independent_sets", counting)
+        calls.clear()
+        row = _check_dual_decomposition(w)
+        assert len(calls) == 2
+        monkeypatch.setattr(ideals, "maximal_independent_sets", search)
+        rep = verify_dual_decomposition(g, row[2]["vertex"])
+        assert row == (_verdict(rep.ok), "", {
+            "vertex": row[2]["vertex"], "sum_identity": rep.sum_identity,
+            "intersection_identity": rep.intersection_identity})
+        checked += 1
+    assert checked > 100
+

@@ -15,7 +15,8 @@ from edgeideals import (GF2, GF3, Q, FieldChoice, build_graph, complement,
                         minimal_nonfaces, parse_field, reduced_homology_ranks,
                         reg_pd, simplicial_complex, squarefree_ideal)
 from edgeideals import homology
-from edgeideals.bitsets import mask_of, submasks
+from edgeideals.bitsets import mask_of, submasks, vertex_masks
+from edgeideals.limits import CapExceeded
 
 
 def test_homology_of_standard_complexes():
@@ -269,6 +270,129 @@ def test_isolated_point_rule_corner_cases():
         assert dict(homology.restriction_homology(edge_ideal(family(f"complete:{n}")))) == {
             0: {-1: 1}, **{s: {0: s.bit_count() - 1} for s in range(1 << n)
                            if s.bit_count() >= 2}}
+
+
+_ANALYZE_SPECS = ("path:11", "cycle:12", "pendant_cycle:5", "capped_cycle:5",
+                  "complete:12", "dtree:1,10,0", "dtree:2,9,0", "dtree:3,8,0",
+                  "co-dtree:1,10,0", "co-dtree:2,9,0", "co-dtree:3,8,0")
+
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _pass_and_kernel_inputs(pass_, ideal, field, monkeypatch):
+    """The pass as a list, the positions of its first use of each ranks dict,
+    and the face lists it handed the rank kernel, in order."""
+    seen = []
+    kernel = homology._ranks_from_faces
+
+    def recording(faces, f):
+        seen.append(list(faces))
+        return kernel(faces, f)
+
+    monkeypatch.setattr(homology, "_ranks_from_faces", recording)
+    got = list(pass_(ideal, field))
+    monkeypatch.setattr(homology, "_ranks_from_faces", kernel)
+    first: dict[int, int] = {}
+    return got, [first.setdefault(id(r), i) for i, (_, r) in enumerate(got)], seen
+
+
+def _same_as_subset_rules(ideal, field, monkeypatch):
+    expect = _pass_and_kernel_inputs(oracle.restriction_homology_by_subset_rules,
+                                     ideal, field, monkeypatch)
+    got = _pass_and_kernel_inputs(homology.restriction_homology, ideal, field, monkeypatch)
+    assert got == expect, (ideal, field)
+    return len(got[2])
+
+
+def test_restriction_pass_matches_subset_rule_oracle(monkeypatch):
+    # the same (S, ranks) list, the same dicts shared, and the same face
+    # lists into the kernel as the pass that tests each subset in turn
+    for n in range(1, 8):
+        for g in enumerate_graphs(n, connected_only=False):
+            ideals = [edge_ideal(g)] + ([dual_ideal(edge_ideal(g))] if g.edge_count() else [])
+            for ideal in ideals:
+                for field in (GF2, GF3, Q) if n <= 6 else (GF2,):
+                    _same_as_subset_rules(ideal, field, monkeypatch)
+    # the 12-vertex graphs analyze is benchmarked on, under three
+    # relabellings; the kernel sees 548 of their 45,056 restrictions
+    rng = random.Random(20)
+    for _ in range(3):
+        calls = 0
+        for spec in _ANALYZE_SPECS:
+            g = _relabel(family(spec.removeprefix("co-")), rng)
+            ideal = edge_ideal(complement(g) if spec.startswith("co-") else g)
+            calls += _same_as_subset_rules(ideal, GF2, monkeypatch)
+        assert calls == 548
+    # the edge and cover ideals of the relabelled 9- and 10-vertex d-trees
+    # that Betti tables over GF(3) and Q are benchmarked on
+    for n, fields in ((9, (GF3, Q)), (10, (GF3,))):
+        for d in (1, 2, 3):
+            edge = edge_ideal(_relabel(family(f"dtree:{d},{n - d - 1},0"), rng))
+            for ideal in (edge, dual_ideal(edge)):
+                for field in fields:
+                    _same_as_subset_rules(ideal, field, monkeypatch)
+
+
+def _antichains(masks):
+    """Every antichain of the given sets, each as a list."""
+    if not masks:
+        yield []
+        return
+    m, rest = masks[0], masks[1:]
+    yield from _antichains(rest)
+    for a in _antichains([x for x in rest if x & m != m and x & m != x]):
+        yield [m, *a]
+
+
+def test_restriction_pass_corner_cases(monkeypatch):
+    # the zero ideal: every nonempty S is a cone over the full simplex
+    for n in range(4):
+        assert list(homology.restriction_homology(squarefree_ideal(n, []))) == [(0, {-1: 1})]
+    # every squarefree ideal on at most four variables, generators of any
+    # degree: a generator on three or more variables, with u folding w off
+    # S only while that generator is not inside S, is the longer fold branch
+    for n in range(5):
+        for gens in _antichains(list(range(1, 1 << n))):
+            ideal = squarefree_ideal(n, gens)
+            for field in (GF2, Q):
+                _same_as_subset_rules(ideal, field, monkeypatch)
+    # {0, 1} and {1, 2, 3} are faces, so the generator {0, 2, 3} stops 0
+    # from folding 1 off S only when S holds it, as on S = {0, ..., 4}
+    ideal = squarefree_ideal(5, [0b01101, 0b10010])
+    _same_as_subset_rules(ideal, GF2, monkeypatch)
+    assert dict(homology.restriction_homology(ideal)) == _nonzero_entries(
+        oracle.restriction_homology_unreduced(ideal, GF2))
+    # Ind(K_n) is n points, and only S = {} reaches the kernel
+    for n in range(1, 13):
+        got, _, kernel = _pass_and_kernel_inputs(
+            homology.restriction_homology, edge_ideal(family(f"complete:{n}")), GF2,
+            monkeypatch)
+        assert dict(got) == {0: {-1: 1}, **{s: {0: s.bit_count() - 1} for s in range(1 << n)
+                                            if s.bit_count() >= 2}}
+        assert kernel == [[0]]
+
+
+def test_vertex_masks_hold_the_subsets_of_each_vertex():
+    for n in range(13):
+        masks = vertex_masks(n)
+        assert len(masks) == n
+        for v, x in enumerate(masks):
+            assert x == sum(1 << s for s in range(1 << n) if s >> v & 1), (n, v)
+
+
+def test_restriction_pass_refuses_13_variables_before_any_table(monkeypatch):
+    def no_tables(n):
+        raise AssertionError("a table was built past the cap")
+
+    monkeypatch.setattr(homology, "vertex_masks", no_tables)
+    with pytest.raises(CapExceeded):
+        next(homology.restriction_homology(squarefree_ideal(13, [0b11])))
+    with pytest.raises(CapExceeded):
+        hochster_betti(edge_ideal(family("path:12")))
 
 
 def test_restriction_pass_runs_the_rank_kernel_on_few_subsets(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 import _oracles as oracle
 from edgeideals import (GF2, VDLeaf, VDNode, analyze, build_graph,
-                        compute_invariants, enumerate_graphs, family,
+                        complement, compute_invariants, enumerate_graphs, family,
                         induced_matching_number, invariants,
                         is_induced_matching_pair, is_triangle_free,
                         matching_number, path_packing_number,
@@ -211,3 +211,27 @@ def test_dense_sixteen_vertex_graphs_within_budget():
     assert validate_path_packing_witness(dense, inv.path_packing_witness)
     assert validate_whisker_witness(dense, inv.whisker_witness)
     assert inv.induced_matching <= inv.path_packing <= inv.matching
+
+
+def test_compatibility_rows_match_pairwise_build(monkeypatch):
+    # every search of the four invariants on the classes on 1-7 vertices
+    # and on the 12-vertex graphs analyze is benchmarked on
+    searches = []
+    search = invariants._best_compatible
+
+    def recording(units, compatible):
+        searches.append((list(units), compatible))
+        return search(units, compatible)
+
+    monkeypatch.setattr(invariants, "_best_compatible", recording)
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n, connected_only=False)]
+    for spec in ("path:11", "cycle:12", "pendant_cycle:5", "capped_cycle:5",
+                 "complete:12", "dtree:1,10,0", "dtree:2,9,0", "dtree:3,8,0"):
+        graphs += [family(spec), complement(family(spec))]
+    for g in graphs:
+        compute_invariants(g)
+    assert len(searches) == 4 * len(graphs)
+    for units, compatible in searches:
+        assert (invariants._compatible_rows(units, compatible)
+                == oracle.compatible_rows_by_pairs(units, compatible)), units
+
