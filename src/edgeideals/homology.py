@@ -22,7 +22,7 @@ from itertools import compress
 from typing import Iterable, Iterator
 
 from .betti import BettiTable
-from .bitsets import bits, mask_of, submasks, vertex_masks
+from .bitsets import bits, mask_of, vertex_masks
 from .complexes import SimplicialComplex
 from .graphs import Graph, read_ints
 from .ideals import SquarefreeIdeal, edge_ideal
@@ -351,7 +351,14 @@ def restriction_homology(ideal: SquarefreeIdeal,
     point: dict[int, dict[int, int]] = {}
     for s, code in compress(enumerate(rule), rule):
         if code == KERNEL:
-            ranks = _ranks_from_faces([f for f in submasks(s) if face[f]], field)
+            # the faces inside S, ascending: faces are closed under subsets,
+            # so each face is a listed one extended by its highest vertex
+            faces, rest = [0], s
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                faces += [f | b for f in faces if face[f | b]]
+            ranks = _ranks_from_faces(faces, field)
             nonzero = tuple((d, r) for d, r in ranks.items() if r)
             ranks = tables.setdefault(nonzero, dict(nonzero))
         else:

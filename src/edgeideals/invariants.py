@@ -32,20 +32,40 @@ def _pair_induced(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> bool:
     return not (g.adj[a] | g.adj[b]) & ((1 << c) | (1 << d))
 
 
-def _compatible_rows(units: list[tuple[int, ...]], compatible) -> list[int]:
+def _union(table: dict[int, int], mask: int) -> int:
+    out = 0
+    for v in bits(mask):
+        out |= table.get(v, 0)
+    return out
+
+
+def _compatible_rows(units: list[tuple[int, ...]], near) -> list[int]:
     """Row i: the units j > i disjoint from unit i that go with it, as a
     bitmask of indices. The search only adds units after the last one it
-    took, so the rows hold no earlier ones. Disjointness comes from the
-    units touching each vertex; compatible is asked only about two disjoint
-    two-vertex units."""
+    took, so the rows hold no earlier ones. A longer unit goes with every
+    unit it is disjoint from. For a two-vertex unit u, near(u) gives two
+    vertex masks (touch, second): a later two-vertex unit goes with u iff
+    none of its vertices is in touch and its second vertex is not in second.
+
+    Both tests are read off per-vertex unit masks: touching[v], the units
+    holding v, and seconds[v], the two-vertex units whose second vertex is
+    v. The units u rules out are the union of touching over touch and of
+    seconds over second, which depends on the two masks alone."""
     touching: dict[int, int] = {}
+    seconds: dict[int, int] = {}
     longer = 0
     for j, u in enumerate(units):
         for v in u:
             touching[v] = touching.get(v, 0) | 1 << j
         if len(u) > 2:
             longer |= 1 << j
+        else:
+            seconds[u[1]] = seconds.get(u[1], 0) | 1 << j
     every = (1 << len(units)) - 1
+    # the units each touch and each second mask rules out, kept per mask:
+    # a search's units share few neighbourhoods
+    by_touch: dict[int, int] = {}
+    by_second: dict[int, int] = {}
     rows = []
     for i, u in enumerate(units):
         free = every & -(2 << i)
@@ -54,20 +74,23 @@ def _compatible_rows(units: list[tuple[int, ...]], compatible) -> list[int]:
         if len(u) > 2:
             rows.append(free)
             continue
-        row = free & longer
-        for j in bits(free & ~longer):
-            if compatible(u, units[j]):
-                row |= 1 << j
-        rows.append(row)
+        touch, second = near(u)
+        blocked = by_touch.get(touch)
+        if blocked is None:
+            blocked = by_touch[touch] = _union(touching, touch)
+        other = by_second.get(second)
+        if other is None:
+            other = by_second[second] = _union(seconds, second)
+        rows.append(free & (longer | ~(blocked | other)))
     return rows
 
 
-def _best_compatible(units: list[tuple[int, ...]], compatible) -> list[tuple[int, ...]]:
-    """Largest set of pairwise vertex-disjoint units that also pass the pair
-    predicate compatible(earlier, later) (a max clique in the compatibility
-    graph), with the first such set in lexicographic exploration order as
-    witness. The predicate is asked only about two two-vertex units: a
-    longer unit goes with every unit it is disjoint from.
+def _best_compatible(units: list[tuple[int, ...]], near) -> list[tuple[int, ...]]:
+    """Largest set of pairwise vertex-disjoint units in which every two
+    two-vertex units go with each other by near's masks (a max clique in the
+    compatibility graph of `_compatible_rows`), with the first such set in
+    lexicographic exploration order as witness. A longer unit goes with
+    every unit it is disjoint from.
 
     The search takes units in ascending index, first with and then without
     each one. Two bounds cap how many more units a branch can add to the
@@ -79,7 +102,7 @@ def _best_compatible(units: list[tuple[int, ...]], compatible) -> list[tuple[int
     cannot strictly beat the best set found, so the witness is the one the
     search bounded by the candidate count alone finds in the same order.
     """
-    compat = _compatible_rows(units, compatible)
+    compat = _compatible_rows(units, near)
     of_size: dict[int, int] = {}
     used = 0
     for i, u in enumerate(units):
@@ -119,14 +142,15 @@ def _best_compatible(units: list[tuple[int, ...]], compatible) -> list[tuple[int
 def matching_number(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     """Maximum set of pairwise vertex-disjoint edges, found exhaustively."""
     check("invariants", g.n)
-    best = _best_compatible(g.edges(), lambda e, f: True)
+    best = _best_compatible(g.edges(), lambda e: (0, 0))
     return len(best), best
 
 
 def induced_matching_number(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     """Maximum matching whose edges pairwise induce no extra edge."""
     check("invariants", g.n)
-    best = _best_compatible(g.edges(), lambda e, f: _pair_induced(g, e, f))
+    # `_pair_induced` as masks: the later edge misses N(a) | N(b)
+    best = _best_compatible(g.edges(), lambda e: (g.adj[e[0]] | g.adj[e[1]], 0))
     return len(best), best
 
 
@@ -153,7 +177,7 @@ def path_packing_number(g: Graph, induced_paths: bool = False
                     continue
                 seen.add(m)
                 units.append((u, v, w))
-    best = _best_compatible(units, lambda p, q: _pair_induced(g, p, q))
+    best = _best_compatible(units, lambda e: (g.adj[e[0]] | g.adj[e[1]], 0))
     return len(best), best
 
 
@@ -170,12 +194,9 @@ def whisker_number(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     for u, v in g.edges():
         units.append((u, v))
         units.append((v, u))
-
-    def private(x: tuple[int, int], y: tuple[int, int]) -> bool:
-        (a1, b1), (a2, b2) = x, y
-        return not (g.has_edge(b1, b2) or g.has_edge(b1, a2) or g.has_edge(b2, a1))
-
-    best = _best_compatible(units, private)
+    # (a2, b2) goes with (a1, b1) iff b1 sees neither a2 nor b2 (no vertex
+    # in N(b1)) and b2 does not see a1 (b2 not in N(a1))
+    best = _best_compatible(units, lambda ab: (g.adj[ab[1]], g.adj[ab[0]]))
     return len(best), best
 
 

@@ -14,7 +14,9 @@ is the reference for the pass that skips cones and folds. Both take their
 ranks from the dense kernels here, not from the package's sparse ones.
 Next is the invariant search bounded only by its candidate count, the
 reference for the package's search with the vertex-capacity bound, and the
-pair-by-pair build of its compatibility rows. The
+pair-by-pair build of its compatibility rows; both ask a pair predicate
+(`induced_pair`, `whisker_private`) where the package reads neighbourhood
+masks. The
 last is the degree-d simplicial peel that recognised d-trees before the
 chordal peel did, the reference for `recognize_d_tree`. The very last is the
 isomorph-free enumeration that canonically labels every extension of every
@@ -298,10 +300,11 @@ def _disjoint(units):
     return True
 
 
-def _induced_pair(g, e, f):
+def induced_pair(g, e, f):
+    """The disjoint edges e and f induce exactly two edges: the pair
+    predicate of the induced matching and path packing searches."""
     span = set(e) | set(f)
-    inside = [x for x in g.edges() if x[0] in span and x[1] in span]
-    return len(inside) == 2
+    return sum(g.has_edge(x, y) for x, y in combinations(span, 2)) == 2
 
 
 def brute_matching(g):
@@ -319,7 +322,7 @@ def brute_induced_matching(g):
     for r in range(len(edges), 0, -1):
         for combo in combinations(edges, r):
             if _disjoint(combo) and all(
-                    _induced_pair(g, a, b) for a, b in combinations(combo, 2)):
+                    induced_pair(g, a, b) for a, b in combinations(combo, 2)):
                 return r
     return 0
 
@@ -346,9 +349,17 @@ def brute_path_packing(g, induced=False):
             if not _disjoint(combo):
                 continue
             singles = [u for u in combo if len(u) == 2]
-            if all(_induced_pair(g, a, b) for a, b in combinations(singles, 2)):
+            if all(induced_pair(g, a, b) for a, b in combinations(singles, 2)):
                 return r
     return 0
+
+
+def whisker_private(g, x, y):
+    """Whisker pairs x = (a1, b1) and y = (a2, b2) go together: b1 is
+    adjacent to neither a2 nor b2, and b2 not to a1, so each b keeps its a
+    as its only neighbour among the four."""
+    (a1, b1), (a2, b2) = x, y
+    return not (g.has_edge(b1, b2) or g.has_edge(b1, a2) or g.has_edge(b2, a1))
 
 
 def brute_whisker(g):
@@ -517,8 +528,9 @@ def best_compatible_by_count(units, compatible):
     """The search of `invariants._best_compatible` bounded only by the
     number of candidates left: the same exploration order (ascending unit
     index, each unit first taken, then deleted), so the same first maximum
-    as witness. Like that search, it asks compatible only about two
-    two-vertex units."""
+    as witness. It asks the pair predicate compatible only about two
+    two-vertex units, where that search reads neighbourhood masks; a longer
+    unit goes with every unit it is disjoint from."""
     masks = [mask_of(u) for u in units]
     compat = [0] * len(units)
     for i in range(len(units)):

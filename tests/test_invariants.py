@@ -1,5 +1,6 @@
 import random
 import signal
+from functools import partial
 
 import pytest
 
@@ -177,15 +178,54 @@ def _searched(g):
     return compute_invariants(g), path_packing_number(g, induced_paths=True)
 
 
+def _pairwise(g):
+    """The oracle pair predicate of each search `_searched(g)` runs, in call
+    order: induced matching, path packing, whisker number and matching from
+    compute_invariants, then the induced path packing."""
+    induced = partial(oracle.induced_pair, g)
+    return [induced, induced, partial(oracle.whisker_private, g),
+            lambda e, f: True, induced]
+
+
+def _assert_witnesses_valid(g, inv):
+    assert len(inv.matching_witness) == inv.matching
+    assert validate_matching_witness(g, inv.matching_witness)
+    assert len(inv.induced_matching_witness) == inv.induced_matching
+    assert validate_induced_matching_witness(g, inv.induced_matching_witness)
+    assert len(inv.path_packing_witness) == inv.path_packing
+    assert validate_path_packing_witness(g, inv.path_packing_witness)
+    assert len(inv.whisker_witness) == inv.whisker_number
+    assert validate_whisker_witness(g, inv.whisker_witness)
+    _, induced = path_packing_number(g, induced_paths=True)
+    assert validate_path_packing_witness(g, induced, induced_paths=True)
+
+
 def test_bounded_search_matches_the_count_only_oracle(monkeypatch):
     subjects = [g for n in range(1, 8) for g in enumerate_graphs(n)]
     subjects += [_random_graph(n, tenths, seed) for seed, (n, tenths) in
                  enumerate([(8, 3), (8, 7), (9, 5), (9, 8), (10, 4), (10, 6)])]
     bounded = [_searched(g) for g in subjects]
-    monkeypatch.setattr(invariants, "_best_compatible",
-                        oracle.best_compatible_by_count)
+    predicates = iter([p for g in subjects for p in _pairwise(g)])
+    monkeypatch.setattr(invariants, "_best_compatible", lambda units, near:
+                        oracle.best_compatible_by_count(units, next(predicates)))
     for g, found in zip(subjects, bounded):
         assert _searched(g) == found, g.edges()
+
+
+@pytest.mark.parametrize("g, values", [
+    (family("edgeless:0"), (0, 0, 0, 0)),
+    (family("edgeless:1"), (0, 0, 0, 0)),
+    (family("edgeless:2"), (0, 0, 0, 0)),
+    (family("edgeless:3"), (0, 0, 0, 0)),
+    (family("path:1"), (1, 1, 1, 1)),
+    # K_{1,6}: the centre is the second vertex of six whisker units
+    (build_graph(7, [(0, v) for v in range(1, 7)]), (1, 1, 1, 1)),
+])
+def test_invariant_corner_cases(g, values):
+    inv = compute_invariants(g)
+    assert (inv.induced_matching, inv.path_packing, inv.whisker_number,
+            inv.matching) == values
+    _assert_witnesses_valid(g, inv)
 
 
 def test_dense_sixteen_vertex_graphs_within_budget():
@@ -195,43 +235,47 @@ def test_dense_sixteen_vertex_graphs_within_budget():
     previous = signal.signal(signal.SIGALRM, give_up)
     signal.alarm(10)
     try:
-        report = analyze(family("complete:16"), GF2)
+        k16 = family("complete:16")
+        report = analyze(k16, GF2)
+        full = compute_invariants(k16)
         dense = _random_graph(16, 8, 3)
         inv = compute_invariants(dense)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    _assert_witnesses_valid(k16, full)
+    _assert_witnesses_valid(dense, inv)
     assert {k: v for k, v in report["invariants"].items()
             if not k.endswith("_witness")} == {
         "matching": 8, "induced_matching": 1, "path_packing": 5,
         "whisker_number": 1}
     assert inv.matching == 8
-    assert validate_matching_witness(dense, inv.matching_witness)
-    assert validate_induced_matching_witness(dense, inv.induced_matching_witness)
-    assert validate_path_packing_witness(dense, inv.path_packing_witness)
-    assert validate_whisker_witness(dense, inv.whisker_witness)
     assert inv.induced_matching <= inv.path_packing <= inv.matching
 
 
 def test_compatibility_rows_match_pairwise_build(monkeypatch):
-    # every search of the four invariants on the classes on 1-7 vertices
-    # and on the 12-vertex graphs analyze is benchmarked on
+    # every search of `_searched` on the classes on 1-7 vertices, on the
+    # 12-vertex graphs analyze is benchmarked on, on complete:16 and on 60
+    # seeded G(n, p) on 8-16 vertices
     searches = []
     search = invariants._best_compatible
 
-    def recording(units, compatible):
-        searches.append((list(units), compatible))
-        return search(units, compatible)
+    def recording(units, near):
+        searches.append((list(units), near))
+        return search(units, near)
 
     monkeypatch.setattr(invariants, "_best_compatible", recording)
     graphs = [g for n in range(1, 8) for g in enumerate_graphs(n, connected_only=False)]
     for spec in ("path:11", "cycle:12", "pendant_cycle:5", "capped_cycle:5",
                  "complete:12", "dtree:1,10,0", "dtree:2,9,0", "dtree:3,8,0"):
         graphs += [family(spec), complement(family(spec))]
+    graphs.append(family("complete:16"))
+    graphs += [_random_graph(8 + seed % 9, 1 + seed % 8, seed) for seed in range(60)]
+    predicates = []
     for g in graphs:
-        compute_invariants(g)
-    assert len(searches) == 4 * len(graphs)
-    for units, compatible in searches:
-        assert (invariants._compatible_rows(units, compatible)
+        _searched(g)
+        predicates += _pairwise(g)
+    assert len(searches) == len(predicates) == 5 * len(graphs)
+    for (units, near), compatible in zip(searches, predicates):
+        assert (invariants._compatible_rows(units, near)
                 == oracle.compatible_rows_by_pairs(units, compatible)), units
-
