@@ -18,8 +18,8 @@ from .graphs import (Graph, adjacency_string, build_graph, canonical_form,
                      complement, enumerate_graphs, family, is_chordal,
                      recognize_d_tree, validate_d_tree_certificate)
 from .complexes import _facet_complements, independence_complex
-from .homology import (GF2, FieldChoice, _betti_from_pass, hochster_betti,
-                       restriction_homology)
+from .homology import (GF2, FieldChoice, Ranks, _betti_from_planes,
+                       _restriction_planes, hochster_betti)
 from .ideals import (_colon_sets, _dual_decomposition, betti_from_certificate,
                      edge_ideal, linear_quotient_search)
 from .invariants import compute_invariants, is_triangle_free
@@ -72,14 +72,14 @@ class GraphWorkup:
         return _facet_complements(self.complex)
 
     @cached_property
-    def homology(self) -> list[tuple[int, dict[int, int]]]:
-        """The edge ideal's restriction pass, shared by the Betti table and
-        the reducing-vertex check."""
-        return list(restriction_homology(self.ideal, self.field))
+    def homology(self) -> dict[Ranks, int]:
+        """The edge ideal's restriction pass, one plane of subsets per table
+        of ranks, shared by the Betti table and the reducing-vertex check."""
+        return _restriction_planes(self.ideal, self.field)
 
     @cached_property
     def betti(self):
-        return _betti_from_pass(self.homology, self.field)
+        return _betti_from_planes(self.homology, self.g.n, self.field)
 
     @cached_property
     def reg(self) -> int:

@@ -17,9 +17,11 @@ would all reduce to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import compress
-from typing import Iterable, Iterator
+from itertools import compress, repeat
+from operator import itemgetter
+from typing import Iterator
 
 from .betti import BettiTable
 from .bitsets import bits, mask_of, vertex_masks
@@ -27,6 +29,9 @@ from .complexes import SimplicialComplex
 from .graphs import Graph, read_ints
 from .ideals import SquarefreeIdeal, edge_ideal
 from .limits import check
+
+# a table of nonzero reduced homology ranks: (d, rank) pairs by ascending d
+Ranks = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -225,24 +230,34 @@ def reduced_homology_ranks(c: SimplicialComplex, field: FieldChoice = GF2) -> di
     return _ranks_from_faces(c.faces(), field)
 
 
-# rule codes of the restriction pass, one byte per subset: 0 for a cone, 1
-# for the kernel, and 4w + 2 or 4w + 3 for a fold or an isolated point that
-# takes w off the subset
-KERNEL, FOLD, POINT = 1, 2, 3
 _BIT_BYTE = bytes.maketrans(b"01", b"\0\1")
 
 
-def _spread(x: int, size: int) -> int:
-    """The int whose byte S is bit S of x, 0 or 1, for S below size."""
-    return int.from_bytes(format(x, f"0{size}b").encode().translate(_BIT_BYTE), "big")
+def _spread(x: int, size: int) -> bytes:
+    """The bytes whose byte S is bit S of x, 0 or 1, for S below size."""
+    return format(x, f"0{size}b").encode().translate(_BIT_BYTE)[::-1]
 
 
-def _rule_tables(gens: tuple[int, ...], n: int) -> tuple[bytes, bytes]:
-    """(rule, face) for the restriction pass over the ideal with these
-    generators in n variables: byte S of rule is the code of the first of
-    its rules that holds at S, and byte S of face is 1 iff S is a face.
-    Each rule is decided for every S at once, on 2^n-bit ints whose bit S
-    stands for S."""
+@lru_cache(maxsize=None)
+def _levels(n: int) -> tuple[int, ...]:
+    """Per size k = 0..n, the 2^n-bit int whose bit S is set iff S has k
+    elements: adding vertex v keeps the level-k subsets and shifts the
+    level-(k-1) ones by 2^v."""
+    levels = [1]
+    for v in range(n):
+        levels = [lo | hi << (1 << v) for lo, hi in zip(levels + [0], [0] + levels)]
+    return tuple(levels)
+
+
+def _rule_tables(gens: tuple[int, ...], n: int) -> tuple[int, list[int], list[int], bytes]:
+    """(kernel, point, fold, face) for the restriction pass over the ideal
+    with these generators in n variables. Each rule is decided for every S
+    at once, on 2^n-bit ints whose bit S stands for S: point[w] and fold[w]
+    hold the subsets whose first rule takes w off, as an isolated point or
+    by a fold, and kernel the non-cone subsets that no rule settles. The
+    rules take priority in that order, cones first, then points, then
+    folds, each by w, so these planes are disjoint. Byte S of face is 1 iff
+    S is a face."""
     size = 1 << n
     full = (1 << size) - 1
     has = vertex_masks(n)
@@ -271,17 +286,17 @@ def _rule_tables(gens: tuple[int, ...], n: int) -> tuple[bytes, bytes]:
     cone = 0
     for v in range(n):
         cone |= has[v] & ~through[v]
-    # (subsets, code) per rule, in priority order: an isolated point w is
-    # alone in S if S meets none of its neighbours, the v with {w, v} a face;
-    # u folds w off S if S holds both and none of the generators that keep u
-    # from coning off the link of w: near holds their one-vertex remainders
-    # m - u, longer the others (none for an edge ideal)
-    rules = []
+    # an isolated point w is alone in S if S meets none of its neighbours,
+    # the v with {w, v} a face; u folds w off S if S holds both and none of
+    # the generators that keep u from coning off the link of w: near holds
+    # their one-vertex remainders m - u, longer the others (none for an
+    # edge ideal)
+    point = [0] * n
     for w in range(n):
         if faces >> (1 << w) & 1:
             others = mask_of(v for v in range(n) if v != w and faces >> ((1 << w) | (1 << v)) & 1)
-            rules.append((has[w] & ~any_of(others), 4 * w + POINT))
-    folds = [0] * n
+            point[w] = has[w] & ~any_of(others)
+    fold = [0] * n
     for u in range(n):
         rest = [(m ^ (1 << u), m) for m in gens if m >> u & 1]
         for w in range(n):
@@ -294,20 +309,67 @@ def _rule_tables(gens: tuple[int, ...], n: int) -> tuple[bytes, bytes]:
                         block &= ~inside[m]
                     else:
                         off |= r
-            folds[w] |= block & ~any_of(off)
-    rules += [(x, 4 * w + FOLD) for w, x in enumerate(folds)]
-    # rule[S]: the code of the first rule that holds at S, read off one
-    # 2^n-bit plane per bit of the code
+            fold[w] |= block & ~any_of(off)
     taken = cone
-    planes = [0] * 8
-    for x, code in rules:
-        x &= ~taken
-        taken |= x
-        for k in bits(code):
-            planes[k] |= x
-    planes[0] |= full & ~taken
-    rule = sum(_spread(x, size) << k for k, x in enumerate(planes)).to_bytes(size, "little")
-    return rule, _spread(faces, size).to_bytes(size, "little")
+    for rule in (point, fold):
+        for w, x in enumerate(rule):
+            rule[w] = x & ~taken
+            taken |= x
+    return full & ~taken, point, fold, _spread(faces, size)
+
+
+def _restriction_planes(ideal: SquarefreeIdeal, field: FieldChoice) -> dict[Ranks, int]:
+    """Hochster's restriction pass: {table: plane} for each distinct nonzero
+    table of reduced homology ranks, plane the 2^n-bit int whose bit S is
+    set iff the restriction to S has that table (rules as in
+    `restriction_homology`).
+
+    Kernel subsets come first, ascending, each from its own faces. Then, for
+    k = 1..n, the size-k subsets that a fold or a point takes w off are read
+    off the size-(k-1) planes shifted left by 2^w, masked by the rule's
+    plane: a fold keeps the table of S - w, a point adds one rank in degree
+    0 to it. The size-(k-1) subsets in no plane have zero homology."""
+    if ideal.is_unit:
+        raise ValueError("Betti numbers of the unit quotient are undefined")
+    n = ideal.nvars
+    check("subset_homology", n)
+    kernel, point, fold, face = _rule_tables(ideal.gens, n)
+    levels = _levels(n)
+    planes: dict[Ranks, int] = {}
+    for s in compress(range(1 << n), _spread(kernel, 1 << n)):
+        # the faces inside S, ascending: faces are closed under subsets, so
+        # each face is a listed one extended by its highest vertex
+        faces, rest = [0], s
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            faces += [f | b for f in faces if face[f | b]]
+        ranks = _ranks_from_faces(faces, field)
+        table = tuple((d, r) for d, r in ranks.items() if r)
+        if table:
+            planes[table] = planes.get(table, 0) | 1 << s
+    for k in range(1, n + 1):
+        rules = [(1 << w, f & levels[k], p & levels[k]) for w, (f, p) in enumerate(zip(fold, point))
+                 if (f | p) & levels[k]]
+        below = [(table, plane & levels[k - 1]) for table, plane in planes.items()
+                 if plane & levels[k - 1]]
+        zero = levels[k - 1]
+        for _, x in below:
+            zero &= ~x
+        for table, x in below + [((), zero)]:
+            folded = pointed = 0
+            for shift, f, p in rules:
+                y = x << shift
+                folded |= y & f
+                pointed |= y & p
+            if folded and table:
+                planes[table] |= folded
+            if pointed:
+                ranks = dict(table)
+                ranks[0] = ranks.get(0, 0) + 1
+                up = tuple(sorted(ranks.items()))
+                planes[up] = planes.get(up, 0) | pointed
+    return planes
 
 
 def restriction_homology(ideal: SquarefreeIdeal,
@@ -333,58 +395,31 @@ def restriction_homology(ideal: SquarefreeIdeal,
     on the 12-vertex graphs `analyze` is benchmarked on, 548 of their
     45,056 restrictions, one (S empty) on complete:12 and each co-d-tree.
 
-    The rules are decided for every S at once and spread into one byte of
-    rule code per S (`_rule_tables`); the pass then walks the non-cone
-    subsets only. Which rule applies is a property of S, so the cost does
-    not depend on the labels."""
-    if ideal.is_unit:
-        raise ValueError("Betti numbers of the unit quotient are undefined")
-    n = ideal.nvars
-    check("subset_homology", n)
-    rule, face = _rule_tables(ideal.gens, n)
-    # found[S]: the nonzero ranks of S, for the rules of later subsets; one
-    # dict per distinct table, since a pass repeats a few tables many times.
-    # point: by the id of such a table (None for zero), that table plus a
-    # point; tables holds every table, so no id is reused during the pass
-    found: list[dict[int, int] | None] = [None] * len(rule)
-    tables: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
-    point: dict[int, dict[int, int]] = {}
-    for s, code in compress(enumerate(rule), rule):
-        if code == KERNEL:
-            # the faces inside S, ascending: faces are closed under subsets,
-            # so each face is a listed one extended by its highest vertex
-            faces, rest = [0], s
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                faces += [f | b for f in faces if face[f | b]]
-            ranks = _ranks_from_faces(faces, field)
-            nonzero = tuple((d, r) for d, r in ranks.items() if r)
-            ranks = tables.setdefault(nonzero, dict(nonzero))
-        else:
-            below = found[s ^ (1 << (code >> 2))]
-            if code & 3 == FOLD:
-                ranks = below
-            else:
-                ranks = point.get(id(below))
-                if ranks is None:
-                    ranks = dict(below or {})
-                    ranks[0] = ranks.get(0, 0) + 1
-                    key = tuple(sorted(ranks.items()))
-                    ranks = point[id(below)] = tables.setdefault(key, dict(key))
-        if ranks:
-            found[s] = ranks
-            yield s, ranks
+    The pass itself is `_restriction_planes`, one 2^n-bit plane of subsets
+    per table, which Betti tables and `reducing_vertex` read directly; this
+    reader lists the members of each plane and merges them. Which rule
+    applies is a property of S, so the cost does not depend on the labels."""
+    planes = _restriction_planes(ideal, field)
+    size = 1 << ideal.nvars
+    found: list[tuple[int, dict[int, int]]] = []
+    for table, plane in planes.items():
+        found += zip(compress(range(size), _spread(plane, size)), repeat(dict(table)))
+    found.sort(key=itemgetter(0))
+    yield from found
 
 
-def _betti_from_pass(homology: Iterable[tuple[int, dict[int, int]]],
-                field: FieldChoice) -> BettiTable:
+def _betti_from_planes(planes: dict[Ranks, int], n: int, field: FieldChoice) -> BettiTable:
+    """The Betti table of the pass `_restriction_planes` over n variables:
+    beta_{i,j} sums, over the tables, the number of size-j subsets in the
+    table's plane times its rank in degree j - i - 1."""
     entries: dict[tuple[int, int], int] = {}
-    for s, ranks in homology:
-        j = s.bit_count()
-        for d, r in ranks.items():
-            key = (j - 1 - d, j)
-            entries[key] = entries.get(key, 0) + r
+    for table, plane in planes.items():
+        for j, level in enumerate(_levels(n)):
+            count = (plane & level).bit_count()
+            if count:
+                for d, r in table:
+                    key = (j - 1 - d, j)
+                    entries[key] = entries.get(key, 0) + count * r
     return BettiTable(entries, field.tag)
 
 
@@ -395,7 +430,7 @@ def hochster_betti(ideal: SquarefreeIdeal, field: FieldChoice = GF2) -> BettiTab
 
         beta_{i,j}(R/I) = sum over |S| = j of rank Htilde_{j-i-1}(complex|_S)
     """
-    return _betti_from_pass(restriction_homology(ideal, field), field)
+    return _betti_from_planes(_restriction_planes(ideal, field), ideal.nvars, field)
 
 
 def reg_pd(g: Graph, field: FieldChoice = GF2) -> tuple[int, int]:

@@ -9,12 +9,13 @@ edgeless vertex set, the empty one included: its complex is a simplex."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from operator import itemgetter
+from typing import Union
 
-from .bitsets import bits
+from .bitsets import bits, vertex_masks
 from .complexes import SimplicialComplex, _facet_complements
 from .graphs import Graph, _independent_sets
-from .homology import GF2, FieldChoice, restriction_homology
+from .homology import GF2, FieldChoice, Ranks, _restriction_planes
 from .ideals import _colon_sets, edge_ideal, linear_quotient_search
 from .limits import check
 
@@ -216,19 +217,24 @@ def shelling_bruteforce(c: SimplicialComplex) -> ShellingCertificate | None:
 def reducing_vertex(g: Graph, field: FieldChoice = GF2) -> tuple[int, int, int] | None:
     """Lowest vertex x with reg(R/I(g)) <= reg(R/I(g - N[x])) + 1, returned
     as (x, reg of g, reg of the reduced graph); None if no vertex works."""
-    return _reducing_vertex(g, restriction_homology(edge_ideal(g), field))
+    return _reducing_vertex(g, _restriction_planes(edge_ideal(g), field))
 
 
-def _reducing_vertex(g: Graph, homology: Iterable[tuple[int, dict[int, int]]]
-                     ) -> tuple[int, int, int] | None:
+def _reducing_vertex(g: Graph, planes: dict[Ranks, int]) -> tuple[int, int, int] | None:
     """reducing_vertex read off the restriction pass of g's edge ideal.
     Ind(g - N[x]) is Ind(g) restricted to V - N[x], so one pass serves all:
-    nonzero Htilde_d on S counts in row d + 1 of every W >= S."""
-    kept = [g.full] + [g.full & ~(1 << x) & ~g.adj[x] for x in range(g.n)]
-    reg = [0] * len(kept)
-    for s, ranks in homology:
-        row = max(ranks) + 1
-        for k, sub in enumerate(kept):
-            if not s & ~sub:
-                reg[k] = max(reg[k], row)
-    return next(((x, reg[0], r) for x, r in enumerate(reg[1:]) if reg[0] <= r + 1), None)
+    a table with top degree d puts row d + 1 into the regularity of every
+    W holding a subset in its plane, and the subsets of V - N[x] are the
+    bits outside the vertex masks of N[x]."""
+    has = vertex_masks(g.n)
+    rows = sorted(((table[-1][0] + 1, plane) for table, plane in planes.items()),
+                  key=itemgetter(0), reverse=True)
+    reg = rows[0][0] if rows else 0
+    for x in range(g.n):
+        near = 0
+        for v in bits(g.adj[x] | 1 << x):
+            near |= has[v]
+        reg_h = next((row for row, plane in rows if plane & ~near), 0)
+        if reg <= reg_h + 1:
+            return x, reg, reg_h
+    return None

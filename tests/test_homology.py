@@ -1,6 +1,7 @@
 import random
 import signal
 import sys
+import tracemalloc
 import types
 from fractions import Fraction
 from itertools import combinations
@@ -277,6 +278,30 @@ _ANALYZE_SPECS = ("path:11", "cycle:12", "pendant_cycle:5", "capped_cycle:5",
                   "co-dtree:1,10,0", "co-dtree:2,9,0", "co-dtree:3,8,0")
 
 
+def _fold(homology_pass):
+    """The Betti table of a per-subset pass: rank r of Htilde_d on a size-j
+    subset counts in beta_{j-1-d,j}."""
+    entries = {}
+    for s, ranks in homology_pass:
+        j = s.bit_count()
+        for d, r in ranks.items():
+            entries[j - 1 - d, j] = entries.get((j - 1 - d, j), 0) + r
+    return entries
+
+
+def test_betti_tables_are_the_fold_of_the_per_subset_pass():
+    # the popcounts of the planes against the size levels, on the 12-vertex
+    # graphs analyze is benchmarked on, relabelled
+    rng = random.Random(22)
+    for spec in _ANALYZE_SPECS:
+        g = _relabel(family(spec.removeprefix("co-")), rng)
+        ideal = edge_ideal(complement(g) if spec.startswith("co-") else g)
+        for field in (GF2, GF3, Q):
+            table = hochster_betti(ideal, field)
+            assert table.entries == _fold(homology.restriction_homology(ideal, field))
+            assert table.field_tag == field.tag
+
+
 def _relabel(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
@@ -384,11 +409,20 @@ def test_vertex_masks_hold_the_subsets_of_each_vertex():
             assert x == sum(1 << s for s in range(1 << n) if s >> v & 1), (n, v)
 
 
+def test_levels_hold_the_subsets_of_each_size():
+    for n in range(13):
+        levels = homology._levels(n)
+        assert len(levels) == n + 1
+        for k, x in enumerate(levels):
+            assert x == sum(1 << s for s in range(1 << n) if s.bit_count() == k), (n, k)
+
+
 def test_restriction_pass_refuses_13_variables_before_any_table(monkeypatch):
     def no_tables(n):
         raise AssertionError("a table was built past the cap")
 
     monkeypatch.setattr(homology, "vertex_masks", no_tables)
+    monkeypatch.setattr(homology, "_levels", no_tables)
     with pytest.raises(CapExceeded):
         next(homology.restriction_homology(squarefree_ideal(13, [0b11])))
     with pytest.raises(CapExceeded):
@@ -557,6 +591,33 @@ def test_twelve_variable_cover_ideals_within_budget():
         assert edge.reg() == edge_reg, (spec, tag)
         # Terai: pd of the cover ideal is reg(R/I) + 1
         assert cover.pd() == edge.reg() + 1, (spec, tag)
+
+
+def test_homology_on_high_ground_elements_within_budget():
+    # Ind(C_20), 15,127 faces, on the ground elements 4..23 of the 24 the
+    # homology cap allows: a sphere of dimension 6 (Kozlov), over any field.
+    # A boundary row sized by its faces' masks would be 2^23 bits wide here
+    ind = independence_complex(family("cycle:20"))
+    c = simplicial_complex(24, [f << 4 for f in ind.facets])
+
+    def give_up(signum, frame):
+        raise TimeoutError("homology of Ind(C_20) took more than 20 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(20)
+    try:
+        for field in (GF2, GF3, Q):
+            tracemalloc.start()
+            try:
+                ranks = reduced_homology_ranks(c, field)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert {d: r for d, r in ranks.items() if r} == {6: 1}, field.tag
+            assert peak < 32_000_000, (field.tag, peak)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _subdivide(triangles, edge, v):
