@@ -310,32 +310,68 @@ def _relabel(g, rng):
 
 def _pass_and_kernel_inputs(pass_, ideal, field, monkeypatch):
     """The pass as a list, the positions of its first use of each ranks dict,
-    and the face lists it handed the rank kernel, in order."""
-    seen = []
+    the face lists it handed the rank kernel, in order, and the subsets it
+    listed with `_oracles.submasks`, which the subset-rule oracle calls only
+    to list the faces of a kernel subset."""
+    seen, listed = [], []
     kernel = homology._ranks_from_faces
 
     def recording(faces, f):
         seen.append(list(faces))
         return kernel(faces, f)
 
+    def listing(s):
+        listed.append(s)
+        return submasks(s)
+
     monkeypatch.setattr(homology, "_ranks_from_faces", recording)
+    monkeypatch.setattr(oracle, "submasks", listing)
     got = list(pass_(ideal, field))
     monkeypatch.setattr(homology, "_ranks_from_faces", kernel)
+    monkeypatch.setattr(oracle, "submasks", submasks)
     first: dict[int, int] = {}
-    return got, [first.setdefault(id(r), i) for i, (_, r) in enumerate(got)], seen
+    return got, [first.setdefault(id(r), i) for i, (_, r) in enumerate(got)], seen, listed
+
+
+def _two_variable_stars(ideal):
+    """{v: N[v]} for the vertices v that lie in some generator and whose
+    generators all have two variables."""
+    stars = {}
+    for v in range(ideal.nvars):
+        mine = [m for m in ideal.gens if m >> v & 1]
+        if mine and all(m.bit_count() == 2 for m in mine):
+            stars[v] = mask_of(u for m in mine for u in range(ideal.nvars) if m >> u & 1)
+    return stars
 
 
 def _same_as_subset_rules(ideal, field, monkeypatch):
-    expect = _pass_and_kernel_inputs(oracle.restriction_homology_by_subset_rules,
-                                     ideal, field, monkeypatch)
-    got = _pass_and_kernel_inputs(homology.restriction_homology, ideal, field, monkeypatch)
-    assert got == expect, (ideal, field)
-    return len(got[2])
+    """Check the pass against the subset-rule oracle: the same (S, ranks)
+    list with the same dicts shared, and the oracle's kernel face lists
+    reordered by (|S|, S), less those of the S that a vertex-star split
+    settles: some v in S with a two-variable star where no degree has
+    homology on both S - v and S - N[v]. With no such vertex the kernel
+    sees exactly the reordered list. Returns the number of kernel calls."""
+    expect, expect_first, oracle_faces, subsets = _pass_and_kernel_inputs(
+        oracle.restriction_homology_by_subset_rules, ideal, field, monkeypatch)
+    got, first, faces, _ = _pass_and_kernel_inputs(
+        homology.restriction_homology, ideal, field, monkeypatch)
+    assert (got, first) == (expect, expect_first), (ideal, field)
+    assert len(subsets) == len(oracle_faces)
+    ranks = dict(expect)
+    stars = _two_variable_stars(ideal)
+
+    def split(s):
+        return any(s >> v & 1 and not ranks.get(s ^ 1 << v, {}).keys()
+                   & ranks.get(s & ~near, {}).keys() for v, near in stars.items())
+
+    ordered = sorted(zip(subsets, oracle_faces), key=lambda x: (x[0].bit_count(), x[0]))
+    assert faces == [f for s, f in ordered if not split(s)], (ideal, field)
+    return len(faces)
 
 
 def test_restriction_pass_matches_subset_rule_oracle(monkeypatch):
-    # the same (S, ranks) list, the same dicts shared, and the same face
-    # lists into the kernel as the pass that tests each subset in turn
+    # the same (S, ranks) list and the same dicts shared as the pass that
+    # tests each subset in turn, and its kernel face lists less the split ones
     for n in range(1, 8):
         for g in enumerate_graphs(n, connected_only=False):
             ideals = [edge_ideal(g)] + ([dual_ideal(edge_ideal(g))] if g.edge_count() else [])
@@ -343,7 +379,8 @@ def test_restriction_pass_matches_subset_rule_oracle(monkeypatch):
                 for field in (GF2, GF3, Q) if n <= 6 else (GF2,):
                     _same_as_subset_rules(ideal, field, monkeypatch)
     # the 12-vertex graphs analyze is benchmarked on, under three
-    # relabellings; the kernel sees 548 of their 45,056 restrictions
+    # relabellings; of their 45,056 restrictions the oracle's kernel sees
+    # 548, and the split leaves only S = {} of each graph to the kernel
     rng = random.Random(20)
     for _ in range(3):
         calls = 0
@@ -351,7 +388,7 @@ def test_restriction_pass_matches_subset_rule_oracle(monkeypatch):
             g = _relabel(family(spec.removeprefix("co-")), rng)
             ideal = edge_ideal(complement(g) if spec.startswith("co-") else g)
             calls += _same_as_subset_rules(ideal, GF2, monkeypatch)
-        assert calls == 548
+        assert calls == 11
     # the edge and cover ideals of the relabelled 9- and 10-vertex d-trees
     # that Betti tables over GF(3) and Q are benchmarked on
     for n, fields in ((9, (GF3, Q)), (10, (GF3,))):
@@ -360,6 +397,17 @@ def test_restriction_pass_matches_subset_rule_oracle(monkeypatch):
             for ideal in (edge, dual_ideal(edge)):
                 for field in fields:
                     _same_as_subset_rules(ideal, field, monkeypatch)
+
+
+def test_vertex_star_split_matches_subset_rule_oracle_on_random_graphs(monkeypatch):
+    # seeded G(n, p) on 8-12 vertices, where most kernel subsets split
+    rng = random.Random(23)
+    for n in range(8, 13):
+        for tenths in (3, 5, 7):
+            g = build_graph(n, [e for e in combinations(range(n), 2)
+                                if rng.randrange(10) < tenths])
+            for field in (GF2, GF3, Q):
+                _same_as_subset_rules(edge_ideal(g), field, monkeypatch)
 
 
 def _antichains(masks):
@@ -393,7 +441,7 @@ def test_restriction_pass_corner_cases(monkeypatch):
         oracle.restriction_homology_unreduced(ideal, GF2))
     # Ind(K_n) is n points, and only S = {} reaches the kernel
     for n in range(1, 13):
-        got, _, kernel = _pass_and_kernel_inputs(
+        got, _, kernel, _ = _pass_and_kernel_inputs(
             homology.restriction_homology, edge_ideal(family(f"complete:{n}")), GF2,
             monkeypatch)
         assert dict(got) == {0: {-1: 1}, **{s: {0: s.bit_count() - 1} for s in range(1 << n)
@@ -440,10 +488,11 @@ def test_restriction_pass_runs_the_rank_kernel_on_few_subsets(monkeypatch):
     monkeypatch.setattr(homology, "_ranks_from_faces", counting)
     table = hochster_betti(edge_ideal(family("path:11")))
     assert table.reg() == 4
-    # 4096 subsets; all but a few are cones, isolated points or folds
-    assert len(calls) < 200
-    # only S = {} reaches the kernel: Ind(K_12) restricts to points, and the
-    # complement of a tree restricts to forests, whose leaves fold off
+    # 4096 subsets; the cones, isolated points, folds and vertex-star
+    # splits leave only S = {}, here and on these two, where the first three
+    # rules already do: Ind(K_12) restricts to points, and the complement of
+    # a tree restricts to forests, whose leaves fold off
+    assert len(calls) == 1
     for g in (family("complete:12"), complement(family("dtree:1,10,0"))):
         calls.clear()
         hochster_betti(edge_ideal(g))
