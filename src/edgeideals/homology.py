@@ -399,7 +399,8 @@ def _restriction_planes(ideal: SquarefreeIdeal, field: FieldChoice) -> dict[Rank
     fold keeps the table of S - w, a point adds one rank in degree 0 to it;
     the size-(k-1) subsets in no plane have zero homology. Then each size-k
     kernel subset, ascending, is split at the star of its lowest vertex that
-    allows it, or else computed from its own faces. A split reads the tables
+    allows it, or else handed to the rank kernel as its generator nerve or
+    as its own faces, whichever has fewer vertices. A split reads the tables
     of S - v and S - N[v] off byte images of the planes, taken once per
     size, so the size-k results join the planes after the whole size."""
     if ideal.is_unit:
@@ -461,16 +462,28 @@ def _restriction_planes(ideal: SquarefreeIdeal, field: FieldChoice) -> dict[Rank
                     if table is not None:
                         break
             if table is None:
-                # the faces inside S, ascending: faces are closed under
-                # subsets, so each face is a listed one extended by its
-                # highest vertex
-                faces, rest = [0], s
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    faces += [f | b for f in faces if face[f | b]]
-                ranks = _ranks_from_faces(faces, field)
-                table = tuple((d, r) for d, r in ranks.items() if r)
+                inside = [m for m in ideal.gens if m & s == m]
+                if s and len(inside) <= k:
+                    # the nerve, as masks of generator indices, ascending:
+                    # the sets whose union is not S are closed under
+                    # subsets, so each is a listed one extended by its last
+                    # generator; each is carried with its union
+                    nerve = [(0, 0)]
+                    for i, m in enumerate(inside):
+                        nerve += [(t | 1 << i, u | m) for t, u in nerve if u | m != s]
+                    ranks = _ranks_from_faces([t for t, _ in nerve], field)
+                    table = tuple(sorted((k - 3 - e, r) for e, r in ranks.items() if r))
+                else:
+                    # the faces inside S, ascending: faces are closed under
+                    # subsets, so each face is a listed one extended by its
+                    # highest vertex
+                    faces, rest = [0], s
+                    while rest:
+                        b = rest & -rest
+                        rest ^= b
+                        faces += [f | b for f in faces if face[f | b]]
+                    ranks = _ranks_from_faces(faces, field)
+                    table = tuple((d, r) for d, r in ranks.items() if r)
             if table:
                 if table not in found:
                     found[table] = bytearray(width)
@@ -519,8 +532,21 @@ def restriction_homology(ideal: SquarefreeIdeal,
     The lowest such v where the degrees do not meet is taken. Only the
     rest reach a rank kernel: on the 12-vertex graphs `analyze` is
     benchmarked on, 11 of their 45,056 restrictions, S empty on each
-    graph. An ideal with no two-variable star runs the kernel on every
-    subset the first three rules leave.
+    graph. An ideal with no two-variable star (most cover ideals) hands
+    the kernel every subset the first three rules leave.
+
+    The kernel sees the smaller of two complexes with the homology of the
+    restriction to a nonempty S. Let G_S be the k generators inside S. If
+    k <= |S|, it gets their nerve N_S, the sets T of them whose union is
+    not S, and the ranks of S are rank Htilde_d = rank Htilde_{|S|-d-3} of
+    N_S, over every field: the Alexander dual of the restriction in S has
+    the facets S - m, m in G_S, which meet exactly where their m do not
+    cover S, so the nerve lemma makes it homotopy equivalent to N_S, and
+    combinatorial Alexander duality (Bjorner and Tancer, DCG 42, 2009)
+    turns its homology in degree |S|-d-3 into that of the restriction in
+    degree d. A generator S has the nerve {emptyset}, one rank in degree
+    |S| - 2. Otherwise, and for S empty, the kernel gets the faces inside
+    S.
 
     The pass itself is `_restriction_planes`, one 2^n-bit plane of subsets
     per table, which Betti tables and `reducing_vertex` read directly; this

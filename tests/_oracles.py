@@ -27,7 +27,9 @@ loop that eliminates every boundary map in full, bottom-up, the reference
 for the clearing in `homology._ranks_from_faces`; it runs the package's own
 kernels on every row. The very end is the restriction pass that tests its
 three rules on each subset in turn, the reference for the pass that reads
-them off whole-table bitsets.
+them off whole-table bitsets. After it, the generator nerve of a
+restriction, listed from plain sets, the reference for the nerve that the
+pass hands the kernel in place of the restriction's faces.
 """
 
 import random
@@ -741,3 +743,15 @@ def restriction_homology_by_subset_rules(ideal, field):
         if ranks:
             found[s] = ranks
             yield s, ranks
+
+
+def generator_nerve(gens, s):
+    """The nerve of the generators inside S: the sets T of them whose union
+    is not S, each as the bitmask of its positions among those generators
+    (in the order of gens). Every T is tried, from plain sets."""
+    target = {v for v in range(s.bit_length()) if s >> v & 1}
+    inside = [g for g in ({v for v in range(m.bit_length()) if m >> v & 1} for m in gens)
+              if g <= target]
+    return [mask_of(t) for r in range(len(inside) + 1)
+            for t in combinations(range(len(inside)), r)
+            if set().union(*(inside[i] for i in t)) != target]

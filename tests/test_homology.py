@@ -344,13 +344,30 @@ def _two_variable_stars(ideal):
     return stars
 
 
+def _nerve_faces(ideal, s):
+    """The faces of the nerve of the generators inside S, as masks of their
+    positions among those generators, ascending: the T whose union is not S."""
+    inside = [m for m in ideal.gens if m & s == m]
+    out = []
+    for t in range(1 << len(inside)):
+        union = 0
+        for i, m in enumerate(inside):
+            if t >> i & 1:
+                union |= m
+        if union != s:
+            out.append(t)
+    return out
+
+
 def _same_as_subset_rules(ideal, field, monkeypatch):
     """Check the pass against the subset-rule oracle: the same (S, ranks)
     list with the same dicts shared, and the oracle's kernel face lists
     reordered by (|S|, S), less those of the S that a vertex-star split
     settles: some v in S with a two-variable star where no degree has
-    homology on both S - v and S - N[v]. With no such vertex the kernel
-    sees exactly the reordered list. Returns the number of kernel calls."""
+    homology on both S - v and S - N[v]. For each nonempty S with no more
+    generators inside it than vertices, the kernel sees the nerve of those
+    generators in place of the oracle's faces, and the oracle's list
+    otherwise. Returns the number of kernel calls."""
     expect, expect_first, oracle_faces, subsets = _pass_and_kernel_inputs(
         oracle.restriction_homology_by_subset_rules, ideal, field, monkeypatch)
     got, first, faces, _ = _pass_and_kernel_inputs(
@@ -364,14 +381,19 @@ def _same_as_subset_rules(ideal, field, monkeypatch):
         return any(s >> v & 1 and not ranks.get(s ^ 1 << v, {}).keys()
                    & ranks.get(s & ~near, {}).keys() for v, near in stars.items())
 
+    def kernel_input(s, faces):
+        nerve = s and sum(m & s == m for m in ideal.gens) <= s.bit_count()
+        return _nerve_faces(ideal, s) if nerve else faces
+
     ordered = sorted(zip(subsets, oracle_faces), key=lambda x: (x[0].bit_count(), x[0]))
-    assert faces == [f for s, f in ordered if not split(s)], (ideal, field)
+    assert faces == [kernel_input(s, f) for s, f in ordered if not split(s)], (ideal, field)
     return len(faces)
 
 
 def test_restriction_pass_matches_subset_rule_oracle(monkeypatch):
     # the same (S, ranks) list and the same dicts shared as the pass that
-    # tests each subset in turn, and its kernel face lists less the split ones
+    # tests each subset in turn, and its kernel face lists less the split
+    # ones, with a nerve in place of the faces where it is no larger
     for n in range(1, 8):
         for g in enumerate_graphs(n, connected_only=False):
             ideals = [edge_ideal(g)] + ([dual_ideal(edge_ideal(g))] if g.edge_count() else [])
@@ -449,6 +471,42 @@ def test_restriction_pass_corner_cases(monkeypatch):
         assert kernel == [[0]]
 
 
+def test_generator_nerve_has_the_restrictions_homology_in_dual_degrees():
+    # rank Htilde_d(restriction to S) = rank Htilde_{|S|-d-3}(nerve of the
+    # generators inside S), both from the dense oracle kernel, on every
+    # nonempty S that is no cone: each vertex of S lies in a generator
+    # inside S. Every ideal on at most four variables and seeded random
+    # ones on at most eight, with more, as many and fewer generators
+    # inside S than vertices
+    ideals = [squarefree_ideal(n, gens) for n in range(5)
+              for gens in _antichains(list(range(1, 1 << n)))]
+    ideals += [ideal for ideal in _random_ideals(120, 24) if not ideal.is_unit]
+    # dense ones, where many generators lie inside S
+    ideals.append(minimal_nonfaces(
+        simplicial_complex(6, [mask_of(t) for t in _PROJECTIVE_PLANE])))
+    ideals += [edge_ideal(family(f"complete:{n}")) for n in (4, 5)]
+    ideals += [dual_ideal(edge_ideal(family(spec))) for spec in ("cycle:6", "path:7")]
+    seen = set()
+    for ideal in ideals:
+        faces = _stanley_reisner_faces(ideal)
+        for s in range(1, 1 << ideal.nvars):
+            inside = [m for m in ideal.gens if m & s == m]
+            if mask_of(v for m in inside for v in range(ideal.nvars) if m >> v & 1) != s:
+                continue
+            k, size = len(inside), s.bit_count()
+            seen.add((k > size) - (k < size))
+            nerve = oracle.generator_nerve(ideal.gens, s)
+            assert sorted(nerve) == _nerve_faces(ideal, s), (ideal, s)
+            restriction = [f for f in faces if f & s == f]
+            for field in (GF2, GF3, _GF5, Q):
+                expect = {d: r for d, r in oracle.ranks_from_faces(restriction, field).items()
+                          if r}
+                got = {size - 3 - e: r for e, r in oracle.ranks_from_faces(nerve, field).items()
+                       if r}
+                assert got == expect, (ideal, s, field)
+    assert seen == {-1, 0, 1}
+
+
 def test_vertex_masks_hold_the_subsets_of_each_vertex():
     for n in range(13):
         masks = vertex_masks(n)
@@ -502,8 +560,10 @@ def test_restriction_pass_runs_the_rank_kernel_on_few_subsets(monkeypatch):
 def test_clearing_matches_full_elimination_where_it_fires(monkeypatch):
     # every face list that reaches the kernel for the cover ideals of the
     # 7-vertex classes over GF(2), and of the benchmark's 9- and 10-vertex
-    # d-trees over GF(3) and Q, where clearing leaves out most rows
-    seen = []
+    # d-trees over GF(3) and Q, where clearing leaves out most rows; the
+    # pass hands it nerves there, so the faces of the same restrictions are
+    # also fed to it directly, by the subset-rule oracle
+    seen, sizes = [], []
     kernel = homology._ranks_from_faces
 
     def compare(faces, field):
@@ -511,6 +571,7 @@ def test_clearing_matches_full_elimination_where_it_fires(monkeypatch):
         assert ranks == oracle.ranks_without_clearing(faces, field), (faces, field)
         assert ranks == oracle.ranks_from_faces(faces, field), (faces, field)
         seen.append(field)
+        sizes.append(len(faces))
         return ranks
 
     monkeypatch.setattr(homology, "_ranks_from_faces", compare)
@@ -523,10 +584,20 @@ def test_clearing_matches_full_elimination_where_it_fires(monkeypatch):
             for field in fields:
                 hochster_betti(cover, field)
     assert seen.count(GF2) > 8000 and seen.count(GF3) > 70 and seen.count(Q) > 30
+    sizes.clear()
+    for n, fields in ((9, (GF3, Q)), (10, (GF3,))):
+        for d in (1, 2, 3):
+            cover = dual_ideal(edge_ideal(family(f"dtree:{d},{n - d - 1},0")))
+            for field in fields:
+                list(oracle.restriction_homology_by_subset_rules(cover, field))
+    assert len(sizes) == 112 and max(sizes) >= 900
+    assert sum(size >= 246 for size in sizes) >= 14
 
 
 def test_clearing_cuts_the_rows_of_the_sparse_kernel(monkeypatch):
-    # full elimination hands 2,857 rows to the sparse loop here
+    # full elimination hands 105 rows to the sparse loop here, on the
+    # generator nerves the pass hands the kernel (2,857 on the faces of the
+    # same restrictions)
     rows = []
     kernel = homology._rank_sparse
 
@@ -538,7 +609,28 @@ def test_clearing_cuts_the_rows_of_the_sparse_kernel(monkeypatch):
     table = hochster_betti(dual_ideal(edge_ideal(family("dtree:3,6,0"))), GF3)
     # Terai: pd of the cover ideal is reg(R/I(G)) + 1 = 2 + 1
     assert table.pd() == 3
-    assert sum(rows) <= 1600
+    assert sum(rows) <= 50
+
+
+def test_generator_nerves_cut_the_faces_of_the_cover_kernel(monkeypatch):
+    # the faces handed to the rank kernel over GF(3) for two 12-variable
+    # cover ideals: 3,237 and 14,175 when each kernel subset lists its own
+    # faces; every kernel subset of path:11's cover but S = {} is a
+    # generator, whose nerve {emptyset} is one face, as is S = {}'s own list
+    sizes = []
+    kernel = homology._ranks_from_faces
+
+    def counting(faces, field):
+        sizes.append(len(faces))
+        return kernel(faces, field)
+
+    monkeypatch.setattr(homology, "_ranks_from_faces", counting)
+    for spec, (reg, pd), calls, budget in (("path:11", (7, 5), 29, 29),
+                                           ("dtree:2,9,0", (9, 4), 27, 4100)):
+        sizes.clear()
+        table = hochster_betti(dual_ideal(edge_ideal(family(spec))), GF3)
+        assert (table.reg(), table.pd()) == (reg, pd), spec
+        assert len(sizes) == calls and sum(sizes) <= budget, (spec, sizes)
 
 
 _GF5 = FieldChoice(5)
