@@ -32,9 +32,6 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    def has_face(self, f: int) -> bool:
-        return any(f & fc == f for fc in self.facets)
-
     def faces(self) -> list[int]:
         return sorted({f for fc in self.facets for f in submasks(fc)})
 

@@ -106,22 +106,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple(full & ~a & ~(1 << v) for v, a in enumerate(g.adj)))
 
 
-def induced_subgraph(g: Graph, sub: int) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the vertex bitmask sub, relabelled to 0..k-1 in
-    ascending order.  Returns (graph, labels) with labels[new] = old."""
-    if sub & ~g.full:
-        raise ValueError("subset leaves the vertex range")
-    labels = tuple(bits(sub))
-    pos = {v: i for i, v in enumerate(labels)}
-    adj = []
-    for v in labels:
-        m = 0
-        for u in bits(g.adj[v] & sub):
-            m |= 1 << pos[u]
-        adj.append(m)
-    return Graph(len(labels), tuple(adj)), labels
-
-
 def whisker(g: Graph, sub: int) -> Graph:
     """Attach one new pendant vertex to each vertex in sub (ascending order);
     pendants get labels n, n+1, ..."""
@@ -384,11 +368,6 @@ def canonical_form(g: Graph) -> int:
     """Lexicographically minimal upper-triangular adjacency bitstring of g
     over all vertex permutations, packed into an int (first pair = highest bit)."""
     return _canonical(g)[0]
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The relabelling of g realising canonical_form(g)."""
-    return _canonical(g)[1]
 
 
 def adjacency_string(g: Graph) -> int:

@@ -4,7 +4,9 @@ exhaustive small-graph enumerations and seeded clique-tree families.
 Every check states a hypothesis and a conclusion. A graph that fails the
 hypothesis yields a skip (with the reason), never a silent pass; a failed
 conclusion yields a fail record carrying both sides of the violated
-(in)equality plus the graph itself.
+(in)equality plus the graph itself. A check that relies on a witness, an
+invariant's or the vertex decomposition's, replays it, and a witness that
+does not replay fails the row with the reason.
 """
 
 from __future__ import annotations
@@ -22,11 +24,15 @@ from .homology import (GF2, FieldChoice, Ranks, _betti_from_planes,
                        _restriction_planes, hochster_betti)
 from .ideals import (_colon_sets, _dual_decomposition, betti_from_certificate,
                      edge_ideal, linear_quotient_search)
-from .invariants import compute_invariants, is_triangle_free
+from .invariants import (compute_invariants, is_triangle_free,
+                         validate_induced_matching_witness,
+                         validate_matching_witness,
+                         validate_path_packing_witness,
+                         validate_whisker_witness)
 from .limits import check, fits
 from .structure import (_reducing_vertex, root_shedding_vertex, shellable,
                         shelling_bruteforce, validate_shelling,
-                        vertex_decomposable)
+                        validate_vertex_decomposition, vertex_decomposable)
 
 
 class GraphWorkup:
@@ -121,11 +127,38 @@ def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
+# invariant -> (its witness in InvariantReport, the validator that replays it)
+_WITNESSES = {
+    "matching": ("matching_witness", validate_matching_witness),
+    "induced_matching": ("induced_matching_witness",
+                         validate_induced_matching_witness),
+    "path_packing": ("path_packing_witness", validate_path_packing_witness),
+    "whisker_number": ("whisker_witness", validate_whisker_witness),
+}
+
+
+def _replayed(w: GraphWorkup, ok: bool, data: dict, *facts: str):
+    """The row of a check that holds iff ok, and that fails with a reason if
+    a fact it relies on does not replay: "vd", the vertex decomposition, or
+    an invariant, whose witness must pass its validator and have the
+    invariant's size."""
+    for fact in facts:
+        if fact == "vd":
+            if not validate_vertex_decomposition(w.g, w.vd):
+                return "fail", "vertex decomposition does not replay", data
+            continue
+        name, validate = _WITNESSES[fact]
+        witness = getattr(w.inv, name)
+        if not validate(w.g, witness) or len(witness) != getattr(w.inv, fact):
+            return "fail", f"{fact} witness does not replay", data
+    return _verdict(ok), "", data
+
+
 def _check_reg_le_path_packing(w: GraphWorkup):
     if w.vd is None:
         return "skip", "independence complex is not vertex decomposable", {}
     data = {"reg": w.reg, "path_packing": w.inv.path_packing}
-    return _verdict(w.reg <= w.inv.path_packing), "", data
+    return _replayed(w, w.reg <= w.inv.path_packing, data, "vd", "path_packing")
 
 
 def _check_reducing_vertex(w: GraphWorkup):
@@ -142,7 +175,7 @@ def _check_reg_le_whisker(w: GraphWorkup):
     if w.shelling is None:
         return "skip", "independence complex is not shellable", {}
     data = {"reg": w.reg, "whisker_number": w.inv.whisker_number}
-    return _verdict(w.reg <= w.inv.whisker_number), "", data
+    return _replayed(w, w.reg <= w.inv.whisker_number, data, "whisker_number")
 
 
 def _check_reg_le_min(w: GraphWorkup):
@@ -151,7 +184,8 @@ def _check_reg_le_min(w: GraphWorkup):
     bound = min(w.inv.path_packing, w.inv.whisker_number)
     data = {"reg": w.reg, "path_packing": w.inv.path_packing,
             "whisker_number": w.inv.whisker_number}
-    return _verdict(w.reg <= bound), "", data
+    return _replayed(w, w.reg <= bound, data, "vd", "path_packing",
+                     "whisker_number")
 
 
 def _check_trianglefree_complement(w: GraphWorkup):
@@ -221,12 +255,13 @@ def _check_dual_pd_reg(w: GraphWorkup):
 
 def _check_reg_ge_induced_matching(w: GraphWorkup):
     data = {"reg": w.reg, "induced_matching": w.inv.induced_matching}
-    return _verdict(w.reg >= w.inv.induced_matching), "", data
+    return _replayed(w, w.reg >= w.inv.induced_matching, data,
+                     "induced_matching")
 
 
 def _check_reg_le_matching(w: GraphWorkup):
     data = {"reg": w.reg, "matching": w.inv.matching}
-    return _verdict(w.reg <= w.inv.matching), "", data
+    return _replayed(w, w.reg <= w.inv.matching, data, "matching")
 
 
 def _check_linear_resolution_chordal(w: GraphWorkup):
@@ -245,7 +280,7 @@ def _check_dual_decomposition(w: GraphWorkup):
     rep = _dual_decomposition(w.g, x, w.cover.gens)
     data = {"vertex": x, "sum_identity": rep.sum_identity,
             "intersection_identity": rep.intersection_identity}
-    return _verdict(rep.ok), "", data
+    return _replayed(w, rep.ok, data, "vd")
 
 
 # id -> (callable, one-line statement of hypothesis -> conclusion)

@@ -28,8 +28,8 @@ from typing import Iterator
 from .betti import BettiTable
 from .bitsets import bits, mask_of, vertex_masks
 from .complexes import SimplicialComplex
-from .graphs import Graph, read_ints
-from .ideals import SquarefreeIdeal, edge_ideal
+from .graphs import read_ints
+from .ideals import SquarefreeIdeal
 from .limits import check
 
 # a table of nonzero reduced homology ranks: (d, rank) pairs by ascending d
@@ -195,15 +195,6 @@ def _clear_pivot_columns(row: dict[int, int], pivots: list[tuple[int, dict[int, 
                     heappush(heap, order[c2])
             elif y:
                 del row[c2]
-
-
-def face_counts(c: SimplicialComplex) -> dict[int, int]:
-    """Number of faces in each dimension, including the empty face at -1."""
-    out: dict[int, int] = {}
-    for f in c.faces():
-        d = f.bit_count() - 1
-        out[d] = out.get(d, 0) + 1
-    return out
 
 
 def _components(vertices: list[int], edges: list[int]) -> int:
@@ -584,9 +575,3 @@ def hochster_betti(ideal: SquarefreeIdeal, field: FieldChoice = GF2) -> BettiTab
         beta_{i,j}(R/I) = sum over |S| = j of rank Htilde_{j-i-1}(complex|_S)
     """
     return _betti_from_planes(_restriction_planes(ideal, field), ideal.nvars, field)
-
-
-def reg_pd(g: Graph, field: FieldChoice = GF2) -> tuple[int, int]:
-    """(regularity, projective dimension) of R/I(g) over the given field."""
-    table = hochster_betti(edge_ideal(g), field)
-    return table.reg(), table.pd()

@@ -73,13 +73,6 @@ def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:
     return hs
 
 
-def minimal_vertex_covers(g: Graph) -> list[int]:
-    """Complements of the maximal independent sets; the edgeless graph has
-    the single empty cover."""
-    full = g.full
-    return sorted(full & ~f for f in maximal_independent_sets(g))
-
-
 def dual_ideal(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
     """Alexander dual: generated by the minimal hitting sets of the
     generator supports.  Dual of zero is unit and vice versa, since the

@@ -14,17 +14,6 @@ from .graphs import Graph
 from .limits import check
 
 
-def is_induced_matching_pair(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> bool:
-    """True iff the disjoint edges e and f induce no third edge between
-    their endpoints (the four endpoints induce exactly two edges)."""
-    for u, v in (e, f):
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-            raise ValueError(f"{(u, v)} is not an edge")
-    if (mask_of(e) | mask_of(f)).bit_count() != 4:
-        raise ValueError("edges share an endpoint")
-    return _pair_induced(g, e, f)
-
-
 def _pair_induced(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> bool:
     # f's endpoints avoid N(a) | N(b), which holds a and b since e is an
     # edge, so a shared endpoint fails the test too
@@ -204,8 +193,10 @@ def is_triangle_free(g: Graph) -> bool:
     return all(not g.adj[u] & g.adj[v] for u, v in g.edges())
 
 
-def _in_range(g: Graph, groups) -> bool:
-    return all(0 <= v < g.n for group in groups for v in group)
+def _in_range(g: Graph, groups, sizes: tuple[int, ...] = (2,)) -> bool:
+    """Every group has one of the sizes and only vertices of g."""
+    return all(len(group) in sizes and all(0 <= v < g.n for v in group)
+               for group in groups)
 
 
 def validate_matching_witness(g: Graph, edges: list[tuple[int, int]]) -> bool:
@@ -229,23 +220,16 @@ def validate_induced_matching_witness(g: Graph, edges: list[tuple[int, int]]) ->
 
 def validate_path_packing_witness(g: Graph, paths: list[tuple[int, ...]],
                                   induced_paths: bool = False) -> bool:
-    if not _in_range(g, paths):
+    if not _in_range(g, paths, (2, 3)):
         return False
     used = 0
     for p in paths:
         m = mask_of(p)
-        if m.bit_count() != len(p) or used & m:
+        if m.bit_count() != len(p) or used & m or not g.has_edge(p[0], p[1]):
             return False
         used |= m
-        if len(p) == 2:
-            if not g.has_edge(p[0], p[1]):
-                return False
-        elif len(p) == 3:
-            if not (g.has_edge(p[0], p[1]) and g.has_edge(p[1], p[2])):
-                return False
-            if induced_paths and g.has_edge(p[0], p[2]):
-                return False
-        else:
+        if len(p) == 3 and (not g.has_edge(p[1], p[2])
+                            or induced_paths and g.has_edge(p[0], p[2])):
             return False
     singles = [p for p in paths if len(p) == 2]
     return all(_pair_induced(g, singles[i], singles[j])

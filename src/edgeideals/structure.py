@@ -54,13 +54,6 @@ def _sheds(g: Graph, sub: int, x: int) -> bool:
                                  lambda f: True)
 
 
-def is_shedding_vertex(g: Graph, x: int) -> bool:
-    """True iff every maximal independent set of g - x stays maximal in g."""
-    if not 0 <= x < g.n:
-        raise ValueError("vertex out of range")
-    return _sheds(g, g.full, x)
-
-
 def _edgeless_within(g: Graph, sub: int) -> bool:
     return all(not g.adj[v] & sub for v in bits(sub))
 

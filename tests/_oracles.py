@@ -2,7 +2,9 @@
 
 Everything here works on plain sets and itertools enumeration, on purpose:
 no bitmask tricks, no pruning, no shared code with the package under test.
-Only viable at very small sizes.
+Only viable at very small sizes. The one helper on bitmasks, near the top,
+is `induced_subgraph`, which relabels the subgraph on a vertex mask for the
+tests and the reducing-vertex reference.
 
 The exception is at the end: the per-subset Hochster computation, which
 rebuilds each restricted complex from Berge transversals, and the
@@ -38,8 +40,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from edgeideals import (BettiTable, Graph, build_graph, edge_ideal, homology,
-                        induced_subgraph, minimal_hitting_sets,
-                        simplicial_complex)
+                        minimal_hitting_sets, simplicial_complex)
 from edgeideals.bitsets import bits, mask_of, submasks
 from edgeideals.graphs import _canonical
 from edgeideals.homology import _boundary_rank
@@ -48,6 +49,22 @@ from edgeideals.limits import check
 
 def edge_set(g):
     return {frozenset((u, v)) for u, v in g.edges()}
+
+
+def induced_subgraph(g, sub):
+    """Induced subgraph on the vertex bitmask sub, relabelled to 0..k-1 in
+    ascending order.  Returns (graph, labels) with labels[new] = old."""
+    if sub & ~g.full:
+        raise ValueError("subset leaves the vertex range")
+    labels = tuple(bits(sub))
+    pos = {v: i for i, v in enumerate(labels)}
+    adj = []
+    for v in labels:
+        m = 0
+        for u in bits(g.adj[v] & sub):
+            m |= 1 << pos[u]
+        adj.append(m)
+    return Graph(len(labels), tuple(adj)), labels
 
 
 def canonical_form_by_permutations(g):

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import pytest
 
 from edgeideals import (GF2, GF3, Q, analyze, complement, edge_ideal, family,
-                        hochster_betti, recognize_d_tree, reg_pd,
+                        hochster_betti, recognize_d_tree,
                         verify_theorems, vertex_decomposable,
                         validate_vertex_decomposition, matching_number,
                         path_packing_number, whisker_number, is_chordal)
@@ -65,7 +65,7 @@ def test_acceptance_02_pendant_odd_cycles(capsys):
             cert = vertex_decomposable(g)
             assert cert is not None
             assert validate_vertex_decomposition(g, cert)
-            assert reg_pd(g)[0] <= n
+            assert hochster_betti(edge_ideal(g)).reg() <= n
         assert time.perf_counter() - start < 30.0
 
 
@@ -80,7 +80,7 @@ def test_acceptance_03_capped_odd_cycles(capsys):
             wn = whisker_number(g)[0]
             assert matching_number(g)[0] == n + 1
             assert wn < n + 1
-            assert reg_pd(g)[0] <= wn
+            assert hochster_betti(edge_ideal(g)).reg() <= wn
         assert time.perf_counter() - start < 30.0
 
 
@@ -100,7 +100,8 @@ def test_acceptance_05_square_complement(capsys):
     with criterion(capsys, 5, "square complement limits"):
         start = time.perf_counter()
         c4 = family("cycle:4")
-        assert reg_pd(c4) == (1, 3)
+        table = hochster_betti(edge_ideal(c4))
+        assert (table.reg(), table.pd()) == (1, 3)
         assert c4.max_degree() == 2
         assert is_chordal(complement(c4)) is not None
         assert recognize_d_tree(complement(c4)) is None

@@ -32,7 +32,7 @@ def test_independence_complex_matches_bruteforce(graphs_through_5):
 def test_normalisation_keeps_maximal_faces_only():
     c = simplicial_complex(3, [0b011, 0b001, 0b110, 0])
     assert c.facets == (3, 6)
-    assert c.has_face(0b010) and not c.has_face(0b101)
+    assert 0b010 in c.faces() and 0b101 not in c.faces()
     assert sorted(c.faces()) == [0, 1, 2, 3, 4, 6]
 
 
@@ -42,13 +42,13 @@ def test_empty_and_void_complexes_are_distinct():
         empty = simplicial_complex(n, [0])
         assert not empty.is_void
         assert empty.facets == (0,)
-        assert empty.has_face(0)
+        assert 0 in empty.faces()
         assert empty.faces() == [0]
 
         void = simplicial_complex(n, [])
         assert void.is_void
         assert void.facets == ()
-        assert not void.has_face(0)
+        assert 0 not in void.faces()
         assert void.faces() == []
 
 

@@ -3,11 +3,12 @@ import sys
 
 import pytest
 
-from edgeideals import (CHECKS, GF2, analyze, build_graph,
-                        canonical_form, canonical_graph, complement,
+from edgeideals import (CHECKS, GF2, VDLeaf, VDNode, analyze, build_graph,
+                        canonical_form, complement,
                         dtree_family_specs, enumerate_graphs, family, ideals,
                         recognize_d_tree, root_shedding_vertex,
                         verify_dual_decomposition, verify_theorems)
+from edgeideals.graphs import _canonical
 from edgeideals.harness import GraphWorkup, _check_dual_decomposition, _verdict
 
 
@@ -111,7 +112,7 @@ def test_a_subject_builds_its_complex_once_and_runs_no_transversals(monkeypatch)
             if key.startswith("edgeideals") and vars(mod).get(name) is fn:
                 monkeypatch.setattr(mod, name, counted)
     # an enumerated subject is its class's canonical representative
-    g = canonical_graph(family("pendant_cycle:1"))
+    g = _canonical(family("pendant_cycle:1"))[1]
     rows = harness._run_payload(("enumerated", g.n, tuple(g.edges()), None,
                                  None, harness.CHECK_ORDER, GF2))
     status = {row["check"]: row["status"] for row in rows}
@@ -144,7 +145,7 @@ def test_complement_checks_run_no_invariant_search_and_share_the_froberg_gate(
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(harness, name, counted)
-    g = canonical_graph(family("cycle:5"))
+    g = _canonical(family("cycle:5"))[1]
     rows = harness._run_payload(
         ("enumerated", g.n, tuple(g.edges()), None, None,
          ("trianglefree-complement", "linear-resolution-chordal"), GF2))
@@ -313,3 +314,63 @@ def test_dual_decomposition_check_reuses_the_workup_cover(monkeypatch):
         checked += 1
     assert checked > 100
 
+
+
+# fact -> the checks that replay its witness
+REPLAYED_BY = {
+    "matching": {"reg-le-matching"},
+    "induced_matching": {"reg-ge-induced-matching"},
+    "path_packing": {"reg-le-path-packing", "reg-le-min"},
+    "whisker_number": {"reg-le-whisker", "reg-le-min"},
+    "vd": {"reg-le-path-packing", "reg-le-min", "dual-decomposition"},
+}
+
+
+@pytest.mark.parametrize("fact, how", [
+    (fact, how) for fact in REPLAYED_BY if fact != "vd"
+    for how in ("short", "invalid")] + [("vd", "invalid")])
+def test_a_witness_that_does_not_replay_fails_the_checks_relying_on_it(
+        fact, how, monkeypatch):
+    import edgeideals.harness as harness
+
+    honest = verify_theorems(max_n=4, with_families=False)["results"]
+    if fact == "vd":
+        reason = "vertex decomposition does not replay"
+        search = harness.vertex_decomposable
+
+        def corrupt(g):
+            cert = search(g)
+            if isinstance(cert, VDNode):
+                # the link leaves the root out, so no node of it is the root
+                cert = VDNode(cert.vertex, cert.deletion,
+                              VDNode(cert.vertex, VDLeaf(), VDLeaf()))
+            return cert
+
+        monkeypatch.setattr(harness, "vertex_decomposable", corrupt)
+    else:
+        reason = f"{fact} witness does not replay"
+        name = harness._WITNESSES[fact][0]
+        invariants = harness.compute_invariants
+
+        def corrupt(g):
+            rep = invariants(g)
+            units = getattr(rep, name)
+            if units:
+                # one unit short of the number, or a unit on one vertex
+                setattr(rep, name, units[1:] if how == "short"
+                        else [(units[0][0],) * 2] + units[1:])
+            return rep
+
+        monkeypatch.setattr(harness, "compute_invariants", corrupt)
+    report = verify_theorems(max_n=4, with_families=False)
+    expected = []
+    for row in honest:
+        # an edgeless graph has empty witnesses and a leaf for a certificate,
+        # which nothing corrupts
+        if row["check"] in REPLAYED_BY[fact] and row["status"] == "pass" \
+                and row["subject"]["edges"]:
+            row = {**row, "status": "fail", "reason": reason}
+        expected.append(row)
+    assert report["results"] == expected
+    # nine of the ten graphs have an edge, and each case fails some of them
+    assert len(report["failures"]) >= 9

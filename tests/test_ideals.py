@@ -8,7 +8,7 @@ from edgeideals import (GF2, LinearQuotientCertificate, betti_from_certificate,
                         enumerate_graphs, family, hochster_betti,
                         independence_complex, is_chordal,
                         linear_quotient_search, minimal_hitting_sets,
-                        minimal_vertex_covers, shellable, squarefree_ideal,
+                        shellable, squarefree_ideal,
                         validate_linear_quotients, verify_dual_decomposition)
 from edgeideals.bitsets import bits
 from edgeideals.harness import GraphWorkup
@@ -37,7 +37,8 @@ def test_minimal_hitting_sets_edge_cases():
 
 def test_minimal_vertex_covers_match_bruteforce(graphs_through_5):
     for g in graphs_through_5:
-        got = sorted(tuple(sorted(bits(m))) for m in minimal_vertex_covers(g))
+        got = sorted(tuple(sorted(bits(m)))
+                     for m in GraphWorkup(g, GF2).cover.gens)
         assert got == oracle.minimal_vertex_covers(g)
 
 
@@ -45,7 +46,7 @@ def test_covers_are_facet_complements(graphs_through_5):
     for g in graphs_through_5:
         facets = independence_complex(g).facets
         assert sorted(g.full & ~f for f in facets) == \
-            sorted(minimal_vertex_covers(g))
+            sorted(dual_ideal(edge_ideal(g)).gens)
 
 
 def test_dual_ideal_frozen():

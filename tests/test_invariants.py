@@ -8,7 +8,7 @@ import _oracles as oracle
 from edgeideals import (GF2, VDLeaf, VDNode, analyze, build_graph,
                         complement, compute_invariants, enumerate_graphs, family,
                         induced_matching_number, invariants,
-                        is_induced_matching_pair, is_triangle_free,
+                        is_triangle_free,
                         matching_number, path_packing_number,
                         validate_vertex_decomposition, whisker_number)
 from edgeideals.invariants import (validate_induced_matching_witness,
@@ -26,6 +26,12 @@ from edgeideals.invariants import (validate_induced_matching_witness,
     (validate_matching_witness, [(9, 0)]),
     (validate_path_packing_witness, [(9, 0)]),
     (validate_whisker_witness, [(9, 0)]),
+    (validate_matching_witness, [(0,)]),
+    (validate_induced_matching_witness, [(0,)]),
+    (validate_whisker_witness, [(0,)]),
+    (validate_matching_witness, [(0, 1, 2)]),
+    (validate_induced_matching_witness, [(0, 1, 2)]),
+    (validate_whisker_witness, [(0, 1, 2)]),
 ])
 def test_validators_reject_vertices_outside_the_graph(validate, witness):
     assert not validate(family("path:3"), witness)
@@ -33,20 +39,16 @@ def test_validators_reject_vertices_outside_the_graph(validate, witness):
 
 def test_induced_matching_pair_frozen():
     p4 = family("path:3")
-    assert not is_induced_matching_pair(p4, (0, 1), (2, 3))
+    assert not validate_induced_matching_witness(p4, [(0, 1), (2, 3)])
     c6 = family("cycle:6")
-    assert is_induced_matching_pair(c6, (0, 1), (3, 4))
-    assert not is_induced_matching_pair(c6, (0, 1), (2, 3))
+    assert validate_induced_matching_witness(c6, [(0, 1), (3, 4)])
+    assert not validate_induced_matching_witness(c6, [(0, 1), (2, 3)])
 
 
 def test_induced_matching_pair_rejects_bad_edges():
     c6 = family("cycle:6")
-    with pytest.raises(ValueError):
-        is_induced_matching_pair(c6, (0, 2), (3, 4))
-    with pytest.raises(ValueError):
-        is_induced_matching_pair(c6, (0, 1), (1, 2))
-    with pytest.raises(ValueError):
-        is_induced_matching_pair(c6, (0, 1), (0, 1))
+    for pair in ([(0, 2), (3, 4)], [(0, 1), (1, 2)], [(0, 1), (0, 1)]):
+        assert not validate_induced_matching_witness(c6, pair)
 
 
 def test_invariant_table_frozen():

@@ -1,14 +1,20 @@
 """README tables that restate the code must match it: the cap table is
-`limits.CAPS` and the harness-check table is `harness.CHECK_ORDER`."""
+`limits.CAPS` and the harness-check table is `harness.CHECK_ORDER`. Every
+name the package exports is loaded by one of its modules or named in the
+README."""
 
+import ast
 import pathlib
+import re
 
 import pytest
 
 from edgeideals.harness import CHECK_ORDER
 from edgeideals.limits import CAPS
 
-README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+PACKAGE = ROOT / "src" / "edgeideals"
 CAP_HEADER = "| cap | limit | what it bounds |"
 CHECK_HEADER = "| check id | claim checked |"
 
@@ -49,3 +55,38 @@ def test_readme_drift_sees_a_removed_row(header):
     assert rows >= 9
     for i in range(first, first + rows):
         assert readme_drift("\n".join(lines[:i] + lines[i + 1:]))
+
+
+# exports no module of the package loads, each kept for the reason the
+# README gives
+UNCALLED = ["GF3", "alexander_dual", "minimal_nonfaces",
+            "reduced_homology_ranks", "reducing_vertex",
+            "validate_linear_quotients", "verify_dual_decomposition", "whisker"]
+
+
+def export_drift(text):
+    """The names edgeideals/__init__.py imports that no other module of the
+    package loads and that text does not name in backticks (a backtick
+    span that starts with the name, perhaps module-qualified)."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exports = [a.asname or a.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for a in node.names]
+    loaded = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    named = set(re.findall(r"`(?:[A-Za-z_]\w*\.)*([A-Za-z_]\w*)", text))
+    return sorted(set(exports) - loaded - named)
+
+
+def test_every_export_is_loaded_or_named_in_the_readme():
+    assert export_drift(README) == []
+
+
+def test_only_the_kept_exports_lack_a_caller():
+    assert export_drift("") == UNCALLED

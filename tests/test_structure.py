@@ -5,7 +5,6 @@ import pytest
 import _oracles as oracle
 from edgeideals import (GF2, ShellingCertificate, VDLeaf, VDNode, build_graph,
                         complement, enumerate_graphs, family, independence_complex,
-                        induced_subgraph, is_shedding_vertex,
                         reducing_vertex, root_shedding_vertex, shellable,
                         shelling_bruteforce, simplicial_complex,
                         validate_shelling, validate_vertex_decomposition,
@@ -16,12 +15,10 @@ from edgeideals.bitsets import bits
 
 def test_shedding_vertex_on_path():
     p4 = family("path:3")
-    assert is_shedding_vertex(p4, 1)
-    assert not is_shedding_vertex(p4, 0)
+    assert structure._sheds(p4, p4.full, 1)
+    assert not structure._sheds(p4, p4.full, 0)
     k2 = family("complete:2")
-    assert is_shedding_vertex(k2, 0) and is_shedding_vertex(k2, 1)
-    with pytest.raises(ValueError):
-        is_shedding_vertex(k2, 2)
+    assert structure._sheds(k2, k2.full, 0) and structure._sheds(k2, k2.full, 1)
 
 
 def test_vertex_decomposable_frozen():
@@ -44,9 +41,9 @@ def test_shedding_matches_the_facet_set_test_on_induced_subgraphs():
     for n in range(1, 7):
         for g in enumerate_graphs(n, connected_only=False):
             for sub in range(1 << n):
-                h, labels = induced_subgraph(g, sub)
-                for i, x in enumerate(labels):
-                    assert is_shedding_vertex(h, i) == \
+                labels = tuple(bits(sub))
+                for x in labels:
+                    assert structure._sheds(g, sub, x) == \
                         oracle.sheds_by_facet_sets(g, labels, x), (g, labels, x)
                     pairs += 1
     assert pairs == 33081
