@@ -2,11 +2,11 @@
 computation of graded Betti numbers, over GF(2), GF(p), or the rationals.
 
 A field is its characteristic: FieldChoice(p) for a prime p, FieldChoice()
-for Q. GF(2) ranks use bitpacked Gaussian elimination. GF(p) and rational
-ranks use one sparse elimination loop: over GF(p) every nonzero entry is a
-pivot; over Q it pivots on +-1 entries while there are any, so the rows
-stay integers, and after that on any nonzero entry, scaling its row by an
-exact Fraction. There is no floating point anywhere.
+for Q. Every field's ranks come from one sparse elimination loop: over
+GF(p), GF(2) included, every nonzero entry is a pivot; over Q it pivots on
++-1 entries while there are any, so the rows stay integers, and after that
+on any nonzero entry, scaling its row by an exact Fraction. There is no
+floating point anywhere.
 
 The boundary maps of a complex are eliminated from the top dimension down
 to the triangles, with clearing: the boundary of the d-faces leaves out the
@@ -21,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import compress, repeat
-from operator import itemgetter
-from typing import Iterator
+from itertools import compress
 
 from .betti import BettiTable
 from .bitsets import bits, mask_of, vertex_masks
@@ -49,10 +47,9 @@ class FieldChoice:
 
     @property
     def kind(self) -> str:
-        """The kernel family: "gf2", "gfp" or "q"."""
-        if self.p is None:
-            return "q"
-        return "gf2" if self.p == 2 else "gfp"
+        """The field family that benchmark counters are labelled by: "gf2",
+        "gfp" or "q"."""
+        return self.tag if self.p in (None, 2) else "gfp"
 
     @property
     def tag(self) -> str:
@@ -83,21 +80,6 @@ def parse_field(text: str) -> FieldChoice:
     raise ValueError(f"bad field {text!r}")
 
 
-def _rank_gf2(vectors: list[int]) -> list[int]:
-    """The pivot columns (bit positions) of the GF(2) rows packed into
-    vectors, one per unit of rank: each stored row pivots on its top bit."""
-    lead: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            top = v.bit_length() - 1
-            if top in lead:
-                v ^= lead[top]
-            else:
-                lead[top] = v
-                break
-    return list(lead)
-
-
 def _boundary_rank(prev_faces: list[int], cur_faces: list[int],
                    field: FieldChoice) -> tuple[int, set[int]]:
     """(rank, pivoted) of the boundary map from cur_faces to prev_faces, one
@@ -106,29 +88,18 @@ def _boundary_rank(prev_faces: list[int], cur_faces: list[int],
     if not prev_faces or not cur_faces:
         return 0, set()
     index = {f: i for i, f in enumerate(prev_faces)}
-    if field.p == 2:
-        vecs = []
-        for f in cur_faces:
-            v, x = 0, f
-            while x:
-                b = x & -x
-                x ^= b
-                v |= 1 << index[f ^ b]
-            vecs.append(v)
-        cols = _rank_gf2(vecs)
-    else:
-        # the face f loses its k-th smallest vertex with sign (-1)^k
-        minus = field.p - 1 if field.p else -1
-        rows = []
-        for f in cur_faces:
-            row, x, sign = {}, f, 1
-            while x:
-                b = x & -x
-                x ^= b
-                row[index[f ^ b]] = sign
-                sign = minus if sign == 1 else 1
-            rows.append(row)
-        cols = _rank_sparse(rows, field.p)
+    # the face f loses its k-th smallest vertex with sign (-1)^k
+    minus = field.p - 1 if field.p else -1
+    rows = []
+    for f in cur_faces:
+        row, x, sign = {}, f, 1
+        while x:
+            b = x & -x
+            x ^= b
+            row[index[f ^ b]] = sign
+            sign = minus if sign == 1 else 1
+        rows.append(row)
+    cols = _rank_sparse(rows, field.p)
     return len(cols), {prev_faces[c] for c in cols}
 
 
@@ -381,8 +352,55 @@ def _split(below: Ranks, link: Ranks) -> Ranks | None:
 def _restriction_planes(ideal: SquarefreeIdeal, field: FieldChoice) -> dict[Ranks, int]:
     """Hochster's restriction pass: {table: plane} for each distinct nonzero
     table of reduced homology ranks, plane the 2^n-bit int whose bit S is
-    set iff the restriction to S has that table (rules as in
-    `restriction_homology`).
+    set iff the restriction to S has that table. Faces of the ideal's
+    complex are the sets containing no generator, and the faces of the
+    restriction to S are the faces inside S.
+
+    Three exact homotopy rules skip most restrictions. If some vertex of S
+    lies in no generator inside S, the restriction is a cone (for an edge
+    ideal: G[S] has an isolated vertex). If S holds w with {w} a face and
+    {w, v} a non-face for every other v in S, w is an isolated point, so
+    the restriction to S is the one to S - w plus a point: one more rank in
+    degree 0 (for an edge ideal: w is adjacent to the rest of S). S - w is
+    never the complex {emptyset}, since S is no cone and w lies in a
+    generator {w, v} inside S. If S holds u != w with {u, w} a face and no
+    generator m inside S with u in m and (m - u) + w a face, the link of w
+    is a cone over u, so the restriction to S is homotopy equivalent to the
+    one to S - w (for an edge ideal: u, w non-adjacent and N(u) within S
+    inside N(w), Engstrom's fold lemma).
+
+    A fourth rule, a vertex-star split, settles most of the rest from two
+    smaller subsets. Let v in S lie in some generator, all of whose
+    generators have two variables, and let N[v] be v and its partners in
+    them (for an edge ideal: any non-isolated v and its closed
+    neighbourhood). Then the link of v in the restriction to S is the
+    restriction to S - N[v], and the restriction to S is the one to S - v
+    with the cone over that link glued on. The cone has no homology, so
+    Mayer-Vietoris gives the exact sequence
+    ... -> H_d(S - N[v]) -> H_d(S - v) -> H_d(S) -> H_{d-1}(S - N[v]) -> ...
+    and where no degree d has both H_d(S - N[v]) and H_d(S - v) nonzero,
+    every map of the first kind is zero: the ranks of S are those of S - v
+    plus those of S - N[v] shifted up one degree, over every field. (This
+    is the homology form of Adamaszek's splitting of independence
+    complexes, JCTA 119, 2012; the point rule is the case S - N[v] empty.)
+    The lowest such v where the degrees do not meet is taken. Only the
+    rest reach a rank kernel: on the 12-vertex graphs `analyze` is
+    benchmarked on, 11 of their 45,056 restrictions, S empty on each
+    graph. An ideal with no two-variable star (most cover ideals) hands
+    the kernel every subset the first three rules leave.
+
+    The kernel sees the smaller of two complexes with the homology of the
+    restriction to a nonempty S. Let G_S be the k generators inside S. If
+    k <= |S|, it gets their nerve N_S, the sets T of them whose union is
+    not S, and the ranks of S are rank Htilde_d = rank Htilde_{|S|-d-3} of
+    N_S, over every field: the Alexander dual of the restriction in S has
+    the facets S - m, m in G_S, which meet exactly where their m do not
+    cover S, so the nerve lemma makes it homotopy equivalent to N_S, and
+    combinatorial Alexander duality (Bjorner and Tancer, DCG 42, 2009)
+    turns its homology in degree |S|-d-3 into that of the restriction in
+    degree d. A generator S has the nerve {emptyset}, one rank in degree
+    |S| - 2. Otherwise, and for S empty, the kernel gets the faces inside
+    S.
 
     The pass settles the subsets one size k = 0..n at a time. First the
     size-k subsets that a fold or a point takes w off are read off the
@@ -393,7 +411,9 @@ def _restriction_planes(ideal: SquarefreeIdeal, field: FieldChoice) -> dict[Rank
     allows it, or else handed to the rank kernel as its generator nerve or
     as its own faces, whichever has fewer vertices. A split reads the tables
     of S - v and S - N[v] off byte images of the planes, taken once per
-    size, so the size-k results join the planes after the whole size."""
+    size, so the size-k results join the planes after the whole size.
+    Betti tables and `reducing_vertex` read the planes directly. Which rule
+    applies is a property of S, so the cost does not depend on the labels."""
     if ideal.is_unit:
         raise ValueError("Betti numbers of the unit quotient are undefined")
     n = ideal.nvars
@@ -483,73 +503,6 @@ def _restriction_planes(ideal: SquarefreeIdeal, field: FieldChoice) -> dict[Rank
             table, image = found.popitem()
             planes[table] = planes.get(table, 0) | int.from_bytes(image, "little")
     return planes
-
-
-def restriction_homology(ideal: SquarefreeIdeal,
-                         field: FieldChoice = GF2) -> Iterator[tuple[int, dict[int, int]]]:
-    """Yield (S, {d: rank}) for every S, ascending, whose restriction of the
-    ideal's complex has nonzero reduced homology, with only the nonzero ranks
-    (equal tables are one shared dict, not to be mutated). Faces of that
-    complex are the sets containing no generator, and the faces of the
-    restriction to S are the faces inside S.
-
-    Three exact homotopy rules skip most restrictions. If some vertex of S
-    lies in no generator inside S, the restriction is a cone (for an edge
-    ideal: G[S] has an isolated vertex). If S holds w with {w} a face and
-    {w, v} a non-face for every other v in S, w is an isolated point, so
-    the restriction to S is the one to S - w plus a point: one more rank in
-    degree 0 (for an edge ideal: w is adjacent to the rest of S). S - w is
-    never the complex {emptyset}, since S is no cone and w lies in a
-    generator {w, v} inside S. If S holds u != w with {u, w} a face and no
-    generator m inside S with u in m and (m - u) + w a face, the link of w
-    is a cone over u, so the restriction to S is homotopy equivalent to the
-    one to S - w (for an edge ideal: u, w non-adjacent and N(u) within S
-    inside N(w), Engstrom's fold lemma).
-
-    A fourth rule, a vertex-star split, settles most of the rest from two
-    smaller subsets. Let v in S lie in some generator, all of whose
-    generators have two variables, and let N[v] be v and its partners in
-    them (for an edge ideal: any non-isolated v and its closed
-    neighbourhood). Then the link of v in the restriction to S is the
-    restriction to S - N[v], and the restriction to S is the one to S - v
-    with the cone over that link glued on. The cone has no homology, so
-    Mayer-Vietoris gives the exact sequence
-    ... -> H_d(S - N[v]) -> H_d(S - v) -> H_d(S) -> H_{d-1}(S - N[v]) -> ...
-    and where no degree d has both H_d(S - N[v]) and H_d(S - v) nonzero,
-    every map of the first kind is zero: the ranks of S are those of S - v
-    plus those of S - N[v] shifted up one degree, over every field. (This
-    is the homology form of Adamaszek's splitting of independence
-    complexes, JCTA 119, 2012; the point rule is the case S - N[v] empty.)
-    The lowest such v where the degrees do not meet is taken. Only the
-    rest reach a rank kernel: on the 12-vertex graphs `analyze` is
-    benchmarked on, 11 of their 45,056 restrictions, S empty on each
-    graph. An ideal with no two-variable star (most cover ideals) hands
-    the kernel every subset the first three rules leave.
-
-    The kernel sees the smaller of two complexes with the homology of the
-    restriction to a nonempty S. Let G_S be the k generators inside S. If
-    k <= |S|, it gets their nerve N_S, the sets T of them whose union is
-    not S, and the ranks of S are rank Htilde_d = rank Htilde_{|S|-d-3} of
-    N_S, over every field: the Alexander dual of the restriction in S has
-    the facets S - m, m in G_S, which meet exactly where their m do not
-    cover S, so the nerve lemma makes it homotopy equivalent to N_S, and
-    combinatorial Alexander duality (Bjorner and Tancer, DCG 42, 2009)
-    turns its homology in degree |S|-d-3 into that of the restriction in
-    degree d. A generator S has the nerve {emptyset}, one rank in degree
-    |S| - 2. Otherwise, and for S empty, the kernel gets the faces inside
-    S.
-
-    The pass itself is `_restriction_planes`, one 2^n-bit plane of subsets
-    per table, which Betti tables and `reducing_vertex` read directly; this
-    reader lists the members of each plane and merges them. Which rule
-    applies is a property of S, so the cost does not depend on the labels."""
-    planes = _restriction_planes(ideal, field)
-    size = 1 << ideal.nvars
-    found: list[tuple[int, dict[int, int]]] = []
-    for table, plane in planes.items():
-        found += zip(compress(range(size), _spread(plane, size)), repeat(dict(table)))
-    found.sort(key=itemgetter(0))
-    yield from found
 
 
 def _betti_from_planes(planes: dict[Ranks, int], n: int, field: FieldChoice) -> BettiTable:

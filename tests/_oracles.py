@@ -494,7 +494,9 @@ def compress(mask, sub):
 def hochster_betti_by_transversals(ideal, field):
     """Betti table of R/I from a restricted complex built afresh for every
     variable subset S: compress the generators inside S, take their minimal
-    transversals, and complement them into facets."""
+    transversals, and complement them into facets. The ranks of each
+    restriction are memoised by its generators in its own labels, so equal
+    restrictions, within one ideal or across ideals, are ranked once."""
     entries = {}
     for s in range(1 << ideal.nvars):
         inside = [g for g in ideal.gens if not g & ~s]
@@ -503,16 +505,23 @@ def hochster_betti_by_transversals(ideal, field):
                 entries[(0, 0)] = entries.get((0, 0), 0) + 1
             continue
         j = s.bit_count()
-        rel = [compress(g, s) for g in inside]
-        full = (1 << j) - 1
-        facets = [full & ~h for h in minimal_hitting_sets(rel)]
-        faces = [sum(1 << v for v in face)
-                 for face in complex_faces(simplicial_complex(j, facets))]
-        for d, r in ranks_from_faces(faces, field).items():
+        for d, r in _transversal_ranks(tuple(sorted(compress(g, s) for g in inside)), j, field):
             if r:
                 key = (j - 1 - d, j)
                 entries[key] = entries.get(key, 0) + r
     return BettiTable(entries, field.tag)
+
+
+@lru_cache(maxsize=None)
+def _transversal_ranks(rel, j, field):
+    """The (d, rank) pairs of the complex on j vertices whose minimal
+    nonfaces are rel: the complements of its minimal transversals are its
+    facets."""
+    full = (1 << j) - 1
+    facets = [full & ~h for h in minimal_hitting_sets(rel)]
+    faces = [sum(1 << v for v in face)
+             for face in complex_faces(simplicial_complex(j, facets))]
+    return tuple(ranks_from_faces(faces, field).items())
 
 
 def reducing_vertex_by_subgraphs(g, field):
@@ -683,11 +692,14 @@ def restriction_homology_by_subset_rules(ideal, field):
     from the OR-zeta table of the unions of the generators inside each S,
     an isolated point from a doubling table of the points alone against
     every vertex of S, and a fold by trying every face {u, w} with u in S,
-    in label order. It is the reference for `homology.restriction_homology`,
-    which decides each rule for every S at once; it yields the same
-    (S, ranks) sequence, shares the same dicts, and hands the package's
-    kernel `homology._ranks_from_faces` the same face lists in the same
-    order."""
+    in label order. It is the reference for the pass
+    `homology._restriction_planes`, which decides each rule for every S at
+    once. Read off in ascending S, with one dict per table, the planes give
+    the same (S, ranks) sequence, with the same dicts shared. The face
+    lists this hands the package's kernel `homology._ranks_from_faces`,
+    ordered by (|S|, S), are those the pass hands it, less the subsets a
+    vertex-star split settles, and with a generator nerve in place of the
+    faces where the nerve is no larger."""
     if ideal.is_unit:
         raise ValueError("Betti numbers of the unit quotient are undefined")
     n = ideal.nvars

@@ -16,7 +16,7 @@ from edgeideals import (GF2, GF3, Q, FieldChoice, build_graph, complement,
                         minimal_nonfaces, parse_field, reduced_homology_ranks,
                         simplicial_complex, squarefree_ideal)
 from edgeideals import homology
-from edgeideals.bitsets import mask_of, submasks, vertex_masks
+from edgeideals.bitsets import bits, mask_of, submasks, vertex_masks
 from edgeideals.limits import CapExceeded
 
 
@@ -199,6 +199,18 @@ def test_hochster_matches_transversal_oracle():
                     assert got.field_tag == expect.field_tag
 
 
+def _restriction_homology(ideal, field=GF2):
+    """(S, {d: rank}) for every S, ascending, whose restriction has nonzero
+    reduced homology, read off the planes of the restriction pass; equal
+    tables share one dict."""
+    found = []
+    for table, plane in homology._restriction_planes(ideal, field).items():
+        ranks = dict(table)
+        found += [(s, ranks) for s in bits(plane)]
+    found.sort(key=lambda x: x[0])
+    return found
+
+
 def _nonzero_entries(pass_):
     out = {}
     for s, ranks in pass_:
@@ -239,7 +251,7 @@ def test_restriction_pass_matches_unreduced_oracle():
         for field in (GF2, GF3, Q):
             expect = _nonzero_entries(
                 oracle.restriction_homology_unreduced(ideal, field))
-            got = list(homology.restriction_homology(ideal, field))
+            got = _restriction_homology(ideal, field)
             assert dict(got) == expect, (ideal, field)
             assert [s for s, _ in got] == sorted(expect)
     # the 12-vertex graphs that analyze is benchmarked on
@@ -249,20 +261,20 @@ def test_restriction_pass_matches_unreduced_oracle():
         g = family(spec.removeprefix("co-"))
         ideal = edge_ideal(complement(g) if spec.startswith("co-") else g)
         expect = _nonzero_entries(oracle.restriction_homology_unreduced(ideal, GF2))
-        assert dict(homology.restriction_homology(ideal, GF2)) == expect, spec
+        assert dict(_restriction_homology(ideal, GF2)) == expect, spec
 
 
 def test_isolated_point_rule_corner_cases():
     # (x0, x1): both vertices are generators, not points, so S = {0, 1}
     # restricts to {emptyset}; (x0, x1x2): 1 and 2 are isolated points
     # beside the generator x0
-    assert list(homology.restriction_homology(squarefree_ideal(2, [0b01, 0b10]))) == [
+    assert _restriction_homology(squarefree_ideal(2, [0b01, 0b10])) == [
         (0b00, {-1: 1}), (0b01, {-1: 1}), (0b10, {-1: 1}), (0b11, {-1: 1})]
-    assert dict(homology.restriction_homology(squarefree_ideal(3, [0b001, 0b110]))) == {
+    assert dict(_restriction_homology(squarefree_ideal(3, [0b001, 0b110]))) == {
         0b000: {-1: 1}, 0b001: {-1: 1}, 0b110: {0: 1}, 0b111: {0: 1}}
     # Ind(K_n) is n points
     for n in range(1, 9):
-        assert dict(homology.restriction_homology(edge_ideal(family(f"complete:{n}")))) == {
+        assert dict(_restriction_homology(edge_ideal(family(f"complete:{n}")))) == {
             0: {-1: 1}, **{s: {0: s.bit_count() - 1} for s in range(1 << n)
                            if s.bit_count() >= 2}}
 
@@ -292,7 +304,7 @@ def test_betti_tables_are_the_fold_of_the_per_subset_pass():
         ideal = edge_ideal(complement(g) if spec.startswith("co-") else g)
         for field in (GF2, GF3, Q):
             table = hochster_betti(ideal, field)
-            assert table.entries == _fold(homology.restriction_homology(ideal, field))
+            assert table.entries == _fold(_restriction_homology(ideal, field))
             assert table.field_tag == field.tag
 
 
@@ -365,7 +377,7 @@ def _same_as_subset_rules(ideal, field, monkeypatch):
     expect, expect_first, oracle_faces, subsets = _pass_and_kernel_inputs(
         oracle.restriction_homology_by_subset_rules, ideal, field, monkeypatch)
     got, first, faces, _ = _pass_and_kernel_inputs(
-        homology.restriction_homology, ideal, field, monkeypatch)
+        _restriction_homology, ideal, field, monkeypatch)
     assert (got, first) == (expect, expect_first), (ideal, field)
     assert len(subsets) == len(oracle_faces)
     ranks = dict(expect)
@@ -440,7 +452,7 @@ def _antichains(masks):
 def test_restriction_pass_corner_cases(monkeypatch):
     # the zero ideal: every nonempty S is a cone over the full simplex
     for n in range(4):
-        assert list(homology.restriction_homology(squarefree_ideal(n, []))) == [(0, {-1: 1})]
+        assert _restriction_homology(squarefree_ideal(n, [])) == [(0, {-1: 1})]
     # every squarefree ideal on at most four variables, generators of any
     # degree: a generator on three or more variables, with u folding w off
     # S only while that generator is not inside S, is the longer fold branch
@@ -453,12 +465,12 @@ def test_restriction_pass_corner_cases(monkeypatch):
     # from folding 1 off S only when S holds it, as on S = {0, ..., 4}
     ideal = squarefree_ideal(5, [0b01101, 0b10010])
     _same_as_subset_rules(ideal, GF2, monkeypatch)
-    assert dict(homology.restriction_homology(ideal)) == _nonzero_entries(
+    assert dict(_restriction_homology(ideal)) == _nonzero_entries(
         oracle.restriction_homology_unreduced(ideal, GF2))
     # Ind(K_n) is n points, and only S = {} reaches the kernel
     for n in range(1, 13):
         got, _, kernel, _ = _pass_and_kernel_inputs(
-            homology.restriction_homology, edge_ideal(family(f"complete:{n}")), GF2,
+            _restriction_homology, edge_ideal(family(f"complete:{n}")), GF2,
             monkeypatch)
         assert dict(got) == {0: {-1: 1}, **{s: {0: s.bit_count() - 1} for s in range(1 << n)
                                             if s.bit_count() >= 2}}
@@ -524,7 +536,7 @@ def test_restriction_pass_refuses_13_variables_before_any_table(monkeypatch):
     monkeypatch.setattr(homology, "vertex_masks", no_tables)
     monkeypatch.setattr(homology, "_levels", no_tables)
     with pytest.raises(CapExceeded):
-        next(homology.restriction_homology(squarefree_ideal(13, [0b11])))
+        _restriction_homology(squarefree_ideal(13, [0b11]))
     with pytest.raises(CapExceeded):
         hochster_betti(edge_ideal(family("path:12")))
 
@@ -627,6 +639,27 @@ def test_generator_nerves_cut_the_faces_of_the_cover_kernel(monkeypatch):
         assert len(sizes) == calls and sum(sizes) <= budget, (spec, sizes)
 
 
+def test_gf2_kernel_matches_dense_oracle_on_the_largest_cover_inputs(monkeypatch):
+    # every face list the rank kernel gets for two 12-variable cover ideals
+    # over GF(2), each against the dense xor oracle; the largest are S = all
+    # 12 variables, with more generators inside it than vertices, handed
+    # its own faces
+    seen = []
+    kernel = homology._ranks_from_faces
+
+    def recording(faces, field):
+        seen.append(list(faces))
+        return kernel(faces, field)
+
+    monkeypatch.setattr(homology, "_ranks_from_faces", recording)
+    for spec, largest in (("cycle:12", 3774), ("dtree:2,9,0", 3898)):
+        seen.clear()
+        hochster_betti(dual_ideal(edge_ideal(family(spec))), GF2)
+        assert max(map(len, seen)) == largest, spec
+        for faces in seen:
+            assert kernel(faces, GF2) == oracle.ranks_from_faces(faces, GF2), (spec, faces)
+
+
 _GF5 = FieldChoice(5)
 _GF1009 = FieldChoice(1009)
 
@@ -645,10 +678,11 @@ def _kernel_inputs():
 
 
 def test_sparse_kernel_matches_dense_oracle():
-    # FieldChoice(2) is GF2, the packed xor kernel; the sparse loop mod 2 is
-    # driven by the integer-matrix test below
+    # GF(2) runs the same sparse loop as the other fields, with every sign
+    # 1; integer matrices with entries other than +-1 are driven by the
+    # test below
     for faces in _kernel_inputs():
-        for field in (GF3, _GF5, _GF1009, Q, FieldChoice(2)):
+        for field in (GF3, _GF5, _GF1009, Q, GF2):
             assert (homology._ranks_from_faces(faces, field)
                     == oracle.ranks_from_faces(faces, field)), (faces, field)
 
