@@ -2,11 +2,12 @@
 computation of graded Betti numbers, over GF(2), GF(p), or the rationals.
 
 A field is its characteristic: FieldChoice(p) for a prime p, FieldChoice()
-for Q. Every field's ranks come from one sparse elimination loop: over
-GF(p), GF(2) included, every nonzero entry is a pivot; over Q it pivots on
-+-1 entries while there are any, so the rows stay integers, and after that
-on any nonzero entry, scaling its row by an exact Fraction. There is no
-floating point anywhere.
+for Q. Every field's ranks come from one sparse elimination loop with one
+pivot rule: each row is reduced at its lowest column, against the pivot
+rows found before it, until that column has no pivot, and then pivots
+there. Over GF(p), GF(2) included, the row is scaled by an inverse mod p;
+over Q by +-1, which keeps the rows integers, or else by an exact
+Fraction. There is no floating point anywhere.
 
 The boundary maps of a complex are eliminated from the top dimension down
 to the triangles, with clearing: the boundary of the d-faces leaves out the
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from itertools import compress
 
 from .betti import BettiTable
@@ -80,92 +80,65 @@ def parse_field(text: str) -> FieldChoice:
     raise ValueError(f"bad field {text!r}")
 
 
-def _boundary_rank(prev_faces: list[int], cur_faces: list[int],
-                   field: FieldChoice) -> tuple[int, set[int]]:
-    """(rank, pivoted) of the boundary map from cur_faces to prev_faces, one
-    dimension lower: pivoted holds the prev faces the elimination pivoted
-    on, one per unit of rank."""
-    if not prev_faces or not cur_faces:
-        return 0, set()
-    index = {f: i for i, f in enumerate(prev_faces)}
-    # the face f loses its k-th smallest vertex with sign (-1)^k
+def _boundary_rank(faces: list[int], field: FieldChoice) -> tuple[int, set[int]]:
+    """(rank, pivoted) of the boundary map of these faces, all of one
+    dimension: pivoted holds the faces one dimension lower that the
+    elimination pivoted on, one per unit of rank."""
+    # the face f loses its k-th smallest vertex with sign (-1)^k; a row's
+    # columns are the masks of the faces in its boundary
     minus = field.p - 1 if field.p else -1
     rows = []
-    for f in cur_faces:
+    for f in faces:
         row, x, sign = {}, f, 1
         while x:
             b = x & -x
             x ^= b
-            row[index[f ^ b]] = sign
+            row[f ^ b] = sign
             sign = minus if sign == 1 else 1
         rows.append(row)
     cols = _rank_sparse(rows, field.p)
-    return len(cols), {prev_faces[c] for c in cols}
+    return len(cols), set(cols)
 
 
 def _rank_sparse(rows: list[dict[int, int]], p: int | None) -> list[int]:
     """The pivot columns, one per unit of rank, of the rows {column: entry},
-    which it consumes: over GF(p) with entries in 0..p-1, where every nonzero
-    entry is a unit, or over Q (p is None) with integer entries. Over Q a
-    round pivots only on +-1, which keeps the entries integers; after a round
-    that makes no pivot, the next one pivots on any nonzero entry."""
-    # pivots[order[c]]: (c, the rest of the row that pivots on column c,
-    # scaled to a 1 there); it is zero on every column that pivoted before it
-    pivots: list[tuple[int, dict[int, int]]] = []
-    order: dict[int, int] = {}
-    units_only = p is None
-    while rows:
-        grew = False
-        left = []
-        for row in rows:
-            _clear_pivot_columns(row, pivots, order, p)
-            c = next((c for c, x in row.items() if not units_only or x in (1, -1)), None)
-            if c is None:
-                if row:
-                    left.append(row)
-                continue
+    which it consumes: over GF(p) with entries in 0..p-1, or over Q (p is
+    None) with integer entries. Each row is reduced at its lowest column:
+    while that column has a pivot row, the row subtracts it, and a row still
+    nonzero then pivots on its lowest column, scaled to a 1 there. Over Q an
+    entry +-1 keeps the rows integers; any other scales by a Fraction."""
+    # pivots[c]: the rest of the row that pivots on column c, scaled to a 1
+    # there; every column in it is above c
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            rest = pivots.get(c)
+            if rest is None:
+                break
             x = row.pop(c)
-            if p:
-                scale = pow(x, -1, p)
-            elif x in (1, -1):
-                scale = x
-            else:
-                # imported here, not at the top: fractions also loads
-                # decimal, which adds milliseconds to every start of the
-                # package, and most runs never reach this branch
-                from fractions import Fraction
-                scale = Fraction(1, x)
-            order[c] = len(pivots)
-            pivots.append((c, {c2: x * scale % p if p else x * scale
-                               for c2, x in row.items()}))
-            grew = True
-        # after a round that made no pivot, no row has a unit entry left
-        units_only = units_only and grew
-        rows = left
-    return [c for c, _ in pivots]
-
-
-def _clear_pivot_columns(row: dict[int, int], pivots: list[tuple[int, dict[int, int]]],
-                         order: dict[int, int], p: int | None) -> None:
-    """Subtract from row its entry times each pivot row, in place, until it is
-    zero on every pivot column. Pivots are taken in the order they were made,
-    since a pivot row only reaches columns that pivoted after it."""
-    heap = [order[c] for c in row if c in order]
-    heapify(heap)
-    while heap:
-        c, rest = pivots[heappop(heap)]
-        x = row.pop(c, 0)
-        if not x:
+            for c2, v in rest.items():
+                y = row.get(c2, 0)
+                z = (y - x * v) % p if p else y - x * v
+                if z:
+                    row[c2] = z
+                elif y:
+                    del row[c2]
+        if not row:
             continue
-        for c2, v in rest.items():
-            y = row.get(c2, 0)
-            z = (y - x * v) % p if p else y - x * v
-            if z:
-                row[c2] = z
-                if not y and c2 in order:
-                    heappush(heap, order[c2])
-            elif y:
-                del row[c2]
+        x = row.pop(c)
+        if p:
+            scale = pow(x, -1, p)
+        elif x in (1, -1):
+            scale = x
+        else:
+            # imported here, not at the top: fractions also loads decimal,
+            # which adds milliseconds to every start of the package, and
+            # most runs never reach this branch
+            from fractions import Fraction
+            scale = Fraction(1, x)
+        pivots[c] = {c2: v * scale % p if p else v * scale for c2, v in row.items()}
+    return list(pivots)
 
 
 def _components(vertices: list[int], edges: list[int]) -> int:
@@ -200,7 +173,8 @@ def _ranks_from_faces(faces: list[int], field: FieldChoice) -> dict[int, int]:
     d-faces that the elimination of the boundary of the (d+1)-faces pivoted
     on are left out of the boundary of the d-faces (clearing): each reduced
     pivot row is a boundary, so the boundary of the d-faces maps it to zero,
-    and on the pivoted faces these rows are triangular with unit diagonal,
+    and it is zero below its pivot column, so on the pivoted faces these
+    rows are triangular with unit diagonal,
     so with the other d-faces they span every d-chain, and the left-out rows
     add nothing to the image. Over any field the boundary of the edges has
     rank |vertices| minus the number of components of the 1-skeleton, and
@@ -214,8 +188,7 @@ def _ranks_from_faces(faces: list[int], field: FieldChoice) -> dict[int, int]:
     rank = [0] * (top + 2)
     cleared: set[int] = set()
     for k in range(top, 2, -1):
-        rank[k], cleared = _boundary_rank(
-            by_size[k - 1], [f for f in by_size[k] if f not in cleared], field)
+        rank[k], cleared = _boundary_rank([f for f in by_size[k] if f not in cleared], field)
     if top >= 2:
         rank[2] = len(by_size[1]) - _components(by_size[1], by_size[2])
     if top >= 1:

@@ -662,7 +662,7 @@ def ranks_without_clearing(faces, field):
     for f in faces:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
     top = max(by_dim, default=-2)
-    brank = {d: _boundary_rank(by_dim[d - 1], by_dim[d], field)[0]
+    brank = {d: _boundary_rank(by_dim[d], field)[0]
              for d in range(0, top + 1)}
     out = {}
     for d in range(-1, top + 1):

@@ -688,8 +688,9 @@ def test_sparse_kernel_matches_dense_oracle():
 
 
 def test_sparse_rank_matches_dense_oracle_on_integer_matrices():
-    # entries other than +-1 leave rows without a unit pivot, which must be
-    # cleared again against the pivots found after them
+    # entries other than +-1 reach the loop's Fraction pivots over Q. The
+    # rows restricted to the pivot columns keep the full rank: clearing
+    # relies on the pivot rows spanning every chain on those columns
     rng = random.Random(11)
     for _ in range(400):
         ncols = rng.randint(1, 8)
@@ -704,6 +705,9 @@ def test_sparse_rank_matches_dense_oracle_on_integer_matrices():
             cols = homology._rank_sparse(rows, p)
             assert len(cols) == expect, (dense, p)
             assert len(set(cols)) == len(cols) and had.issuperset(cols), (dense, p)
+            on_cols = [[row[c] for c in cols] for row in reduced]
+            assert (oracle.rank_gfp(on_cols, p) if p
+                    else oracle.rank_bareiss(on_cols)) == len(cols), (dense, p)
 
 
 def test_rational_kernel_takes_a_fraction_pivot_only_on_a_residual(monkeypatch):
@@ -727,9 +731,18 @@ def test_rational_kernel_takes_a_fraction_pivot_only_on_a_residual(monkeypatch):
         for field in (GF3, _GF5, _GF1009):
             homology._ranks_from_faces(faces, field)
     assert pivots == []
-    # the first kernel input is that RP^2; unit pivots clear all the others
+    # the first kernel input is that RP^2; every other one, and the Q
+    # inputs of the betti-fields benchmark (edge and cover ideals of the
+    # 9-vertex d-trees) and the cover of cycle:12, reduce each row to a
+    # lowest entry +-1
     for faces in list(_kernel_inputs())[1:]:
         homology._ranks_from_faces(faces, Q)
+    assert pivots == []
+    for d in (1, 2, 3):
+        edge = edge_ideal(family(f"dtree:{d},{9 - d - 1},0"))
+        hochster_betti(edge, Q)
+        hochster_betti(dual_ideal(edge), Q)
+    hochster_betti(dual_ideal(edge_ideal(family("cycle:12"))), Q)
     assert pivots == []
 
 
