@@ -10,11 +10,10 @@ over Q by +-1, which keeps the rows integers, or else by an exact
 Fraction. There is no floating point anywhere.
 
 The boundary maps of a complex are eliminated from the top dimension down
-to the triangles, with clearing: the boundary of the d-faces leaves out the
+to the vertices, with clearing: the boundary of the d-faces leaves out the
 rows of the d-faces that the elimination one dimension up pivoted on, since
-those rows would all reduce to zero. The boundary of the edges needs no
-elimination: its rank is the number of vertices less the number of
-connected components of the 1-skeleton, over every field.
+those rows would all reduce to zero. The edges and the vertices go through
+the same loop as every other dimension.
 """
 
 from __future__ import annotations
@@ -80,10 +79,10 @@ def parse_field(text: str) -> FieldChoice:
     raise ValueError(f"bad field {text!r}")
 
 
-def _boundary_rank(faces: list[int], field: FieldChoice) -> tuple[int, set[int]]:
-    """(rank, pivoted) of the boundary map of these faces, all of one
-    dimension: pivoted holds the faces one dimension lower that the
-    elimination pivoted on, one per unit of rank."""
+def _boundary_rank(faces: list[int], field: FieldChoice) -> set[int]:
+    """The faces one dimension lower that the elimination of the boundary
+    map of these faces, all of one dimension, pivoted on: one per unit of
+    rank."""
     # the face f loses its k-th smallest vertex with sign (-1)^k; a row's
     # columns are the masks of the faces in its boundary
     minus = field.p - 1 if field.p else -1
@@ -96,8 +95,7 @@ def _boundary_rank(faces: list[int], field: FieldChoice) -> tuple[int, set[int]]
             row[f ^ b] = sign
             sign = minus if sign == 1 else 1
         rows.append(row)
-    cols = _rank_sparse(rows, field.p)
-    return len(cols), set(cols)
+    return set(_rank_sparse(rows, field.p))
 
 
 def _rank_sparse(rows: list[dict[int, int]], p: int | None) -> list[int]:
@@ -141,44 +139,17 @@ def _rank_sparse(rows: list[dict[int, int]], p: int | None) -> list[int]:
     return list(pivots)
 
 
-def _components(vertices: list[int], edges: list[int]) -> int:
-    """The number of connected components of the graph on these vertex
-    masks with these edge masks."""
-    adj = dict.fromkeys(vertices, 0)
-    left = 0
-    for v in vertices:
-        left |= v
-    for e in edges:
-        lo = e & -e
-        adj[lo] |= e
-        adj[e ^ lo] |= e
-    count = 0
-    while left:
-        count += 1
-        reach = todo = left & -left
-        while todo:
-            b = todo & -todo
-            todo ^= b
-            new = adj[b] & ~reach
-            reach |= new
-            todo |= new
-        left &= ~reach
-    return count
-
-
 def _ranks_from_faces(faces: list[int], field: FieldChoice) -> dict[int, int]:
     """Reduced homology ranks {d: rank}, d = -1..dim, of the complex whose
-    faces (the empty face included) are given. Boundary maps of dimension 2
-    and up are eliminated from the top dimension down, and the rows of the
-    d-faces that the elimination of the boundary of the (d+1)-faces pivoted
-    on are left out of the boundary of the d-faces (clearing): each reduced
-    pivot row is a boundary, so the boundary of the d-faces maps it to zero,
-    and it is zero below its pivot column, so on the pivoted faces these
-    rows are triangular with unit diagonal,
-    so with the other d-faces they span every d-chain, and the left-out rows
-    add nothing to the image. Over any field the boundary of the edges has
-    rank |vertices| minus the number of components of the 1-skeleton, and
-    that of the vertices rank 1 when there are any."""
+    faces (the empty face included) are given. The boundary maps are
+    eliminated from the top dimension down to the vertices, and the rows of
+    the d-faces that the elimination of the boundary of the (d+1)-faces
+    pivoted on are left out of the boundary of the d-faces (clearing): each
+    reduced pivot row is a boundary, so the boundary of the d-faces maps it
+    to zero, and it is zero below its pivot column, so on the pivoted faces
+    these rows are triangular with unit diagonal, so with the other d-faces
+    they span every d-chain, and the left-out rows add nothing to the
+    image."""
     # by_size[k]: the faces with k vertices, of dimension k - 1
     by_size: list[list[int]] = [[] for _ in range(max(map(int.bit_count, faces), default=-1) + 1)]
     for f in faces:
@@ -187,12 +158,9 @@ def _ranks_from_faces(faces: list[int], field: FieldChoice) -> dict[int, int]:
     # rank[k]: the rank of the boundary of the faces with k vertices
     rank = [0] * (top + 2)
     cleared: set[int] = set()
-    for k in range(top, 2, -1):
-        rank[k], cleared = _boundary_rank([f for f in by_size[k] if f not in cleared], field)
-    if top >= 2:
-        rank[2] = len(by_size[1]) - _components(by_size[1], by_size[2])
-    if top >= 1:
-        rank[1] = 1
+    for k in range(top, 0, -1):
+        cleared = _boundary_rank([f for f in by_size[k] if f not in cleared], field)
+        rank[k] = len(cleared)
     return {k - 1: len(by_size[k]) - rank[k] - rank[k + 1] for k in range(top + 1)}
 
 

@@ -173,8 +173,6 @@ def shelling_bruteforce(c: SimplicialComplex) -> ShellingCertificate | None:
     """Independent shelling search: backtracking directly over facet orders,
     memoising failed prefix sets."""
     facets = c.facets
-    if len(facets) <= 1:
-        return ShellingCertificate(facets)
     m = len(facets)
     check("shelling_bruteforce", m)
     diff = [[facets[j] & ~facets[i] for i in range(m)] for j in range(m)]

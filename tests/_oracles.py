@@ -485,10 +485,22 @@ def rank_bareiss(rows):
     return r
 
 
-def compress(mask, sub):
-    """Renumber the bits of mask inside sub to 0..|sub|-1, in sub's order."""
+def positions(sub):
+    """{2^v: 2^i} for the i-th smallest element v of sub: the renumbering
+    of sub's bits to 0..|sub|-1, in sub's order."""
     kept = [v for v in range(sub.bit_length()) if sub >> v & 1]
-    return sum(1 << i for i, v in enumerate(kept) if mask >> v & 1)
+    return {1 << v: 1 << i for i, v in enumerate(kept)}
+
+
+def compress(mask, pos):
+    """Renumber the bits of mask by the position map pos of a set holding
+    them."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out |= pos[b]
+    return out
 
 
 def hochster_betti_by_transversals(ideal, field):
@@ -505,7 +517,8 @@ def hochster_betti_by_transversals(ideal, field):
                 entries[(0, 0)] = entries.get((0, 0), 0) + 1
             continue
         j = s.bit_count()
-        for d, r in _transversal_ranks(tuple(sorted(compress(g, s) for g in inside)), j, field):
+        pos = positions(s)
+        for d, r in _transversal_ranks(tuple(sorted(compress(g, pos) for g in inside)), j, field):
             if r:
                 key = (j - 1 - d, j)
                 entries[key] = entries.get(key, 0) + r
@@ -662,7 +675,7 @@ def ranks_without_clearing(faces, field):
     for f in faces:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
     top = max(by_dim, default=-2)
-    brank = {d: _boundary_rank(by_dim[d], field)[0]
+    brank = {d: len(_boundary_rank(by_dim[d], field))
              for d in range(0, top + 1)}
     out = {}
     for d in range(-1, top + 1):

@@ -602,20 +602,22 @@ def test_clearing_matches_full_elimination_where_it_fires(monkeypatch):
 
 def test_clearing_cuts_the_rows_of_the_sparse_kernel(monkeypatch):
     # full elimination hands 105 rows to the sparse loop here, on the
-    # generator nerves the pass hands the kernel (2,857 on the faces of the
-    # same restrictions)
+    # generator nerves the pass hands the kernel, 62 of them the rows of
+    # faces with at least 3 vertices (2,857 and 2,481 on the faces of the
+    # same restrictions); a face's row has one entry per vertex
     rows = []
     kernel = homology._rank_sparse
 
     def counting(r, p):
-        rows.append(len(r))
+        rows.extend(map(len, r))
         return kernel(r, p)
 
     monkeypatch.setattr(homology, "_rank_sparse", counting)
     table = hochster_betti(dual_ideal(edge_ideal(family("dtree:3,6,0"))), GF3)
     # Terai: pd of the cover ideal is reg(R/I(G)) + 1 = 2 + 1
     assert table.pd() == 3
-    assert sum(rows) <= 50
+    assert sum(k >= 3 for k in rows) <= 50
+    assert len(rows) == 55
 
 
 def test_generator_nerves_cut_the_faces_of_the_cover_kernel(monkeypatch):
@@ -675,6 +677,14 @@ def _kernel_inputs():
     for ideal in (rp2, squarefree_ideal(7, rp2.gens), *_random_ideals(60, 5)):
         if not ideal.is_unit:
             yield _stanley_reisner_faces(ideal)
+    # complexes whose edges and vertices carry the homology: {emptyset},
+    # isolated vertices, two disjoint edges, a path and an isolated vertex,
+    # and two disjoint triangles, hollow and filled
+    hollow = [mask_of(e) for e in combinations(range(3), 2)]
+    for n, facets in ((3, [0]), (3, [0b001, 0b010, 0b100]), (4, [0b0011, 0b1100]),
+                      (4, [0b0011, 0b0110, 0b1000]), (6, hollow + [e << 3 for e in hollow]),
+                      (6, [0b000111, 0b111000])):
+        yield simplicial_complex(n, facets).faces()
 
 
 def test_sparse_kernel_matches_dense_oracle():
