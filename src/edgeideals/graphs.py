@@ -260,6 +260,27 @@ def _random_d_tree(d: int, steps: int, seed: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def _cycle_edges(k: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % k) for i in range(k)]
+
+
+# name: (least argument, refusal below it, vertex count, edge list) of k
+_FAMILIES = {
+    "path": (0, "path length must be non-negative", lambda k: k + 1,
+             lambda k: [(i, i + 1) for i in range(k)]),
+    "cycle": (3, "cycle needs at least 3 vertices", lambda k: k, _cycle_edges),
+    "complete": (1, "complete graph needs at least 1 vertex", lambda k: k,
+                 lambda k: [(i, j) for i in range(k) for j in range(i + 1, k)]),
+    "edgeless": (0, "vertex count must be non-negative", lambda k: k,
+                 lambda k: []),
+    "pendant_cycle": (1, "cycle parameter must be at least 1", lambda k: 2 * k + 2,
+                      lambda k: _cycle_edges(2 * k + 1) + [(0, 2 * k + 1)]),
+    "capped_cycle": (1, "cycle parameter must be at least 1", lambda k: 2 * k + 2,
+                     lambda k: _cycle_edges(2 * k + 1) + [(0, 2 * k + 1),
+                                                          (1, 2 * k + 1)]),
+}
+
+
 def family(spec: str) -> Graph:
     """Build a named graph family from a DSL string.
 
@@ -275,8 +296,7 @@ def family(spec: str) -> Graph:
     if not sep:
         raise ValueError(f"family spec {spec!r} has no ':'")
     name = name.strip().lower()
-    if name not in ("path", "cycle", "complete", "edgeless", "pendant_cycle",
-                    "capped_cycle", "dtree"):
+    if name not in _FAMILIES and name != "dtree":
         raise ValueError(f"unknown family {name!r}")
     try:
         if name == "dtree":
@@ -289,32 +309,11 @@ def family(spec: str) -> Graph:
         raise
     except ValueError as exc:
         raise ValueError(f"bad family arguments in {spec!r}: {exc}") from None
-    if name == "path" and k < 0:
-        raise ValueError("path length must be non-negative")
-    if name == "cycle" and k < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    if name == "complete" and k < 1:
-        raise ValueError("complete graph needs at least 1 vertex")
-    if name == "edgeless" and k < 0:
-        raise ValueError("vertex count must be non-negative")
-    if name in ("pendant_cycle", "capped_cycle") and k < 1:
-        raise ValueError("cycle parameter must be at least 1")
-    # refuse past the cap before listing any edge
-    check("bitmask", {"path": k + 1, "pendant_cycle": 2 * k + 2,
-                      "capped_cycle": 2 * k + 2}.get(name, k))
-    if name == "path":
-        return build_graph(k + 1, [(i, i + 1) for i in range(k)])
-    if name == "cycle":
-        return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
-    if name == "complete":
-        return build_graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
-    if name == "edgeless":
-        return build_graph(k, [])
-    m = 2 * k + 1
-    edges = [(i, (i + 1) % m) for i in range(m)] + [(0, m)]
-    if name == "capped_cycle":
-        edges.append((1, m))
-    return build_graph(m + 1, edges)
+    least, refusal, vertices, edges = _FAMILIES[name]
+    if k < least:
+        raise ValueError(refusal)
+    check("bitmask", vertices(k))  # refuse past the cap before listing any edge
+    return build_graph(vertices(k), edges(k))
 
 
 # --- canonical forms and enumeration -------------------------------------

@@ -80,24 +80,31 @@ def dual_ideal(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
     return squarefree_ideal(ideal.nvars, minimal_hitting_sets(ideal.gens))
 
 
+def _colon_set(earlier: list[int], m: int) -> int | None:
+    """The variables that generate the colon ideal (earlier) : m, or None if
+    that ideal is not linear.  It is generated by the earlier monomials with
+    the variables of m removed, so it is linear iff each of them contains
+    one that is a single variable."""
+    singles = 0
+    for q in earlier:
+        d = q & ~m
+        if d.bit_count() == 1:
+            singles |= d
+    for q in earlier:
+        if not q & ~m & singles:
+            return None
+    return singles
+
+
 def _colon_sets(monomials: list[int]) -> list[int] | None:
     """For each position p, the variables that generate the colon ideal
-    (m_0, ..., m_{p-1}) : m_p, or None if some colon ideal is not linear.
-    That colon ideal is generated by the m_q with the variables of m_p
-    removed, so it is linear iff each of them contains one that is a single
-    variable."""
+    (m_0, ..., m_{p-1}) : m_p, or None if some colon ideal is not linear."""
     sets = []
     for p, mp in enumerate(monomials):
-        earlier = monomials[:p]
-        singles = 0
-        for mq in earlier:
-            d = mq & ~mp
-            if d.bit_count() == 1:
-                singles |= d
-        for mq in earlier:
-            if not mq & ~mp & singles:
-                return None
-        sets.append(singles)
+        colon = _colon_set(monomials[:p], mp)
+        if colon is None:
+            return None
+        sets.append(colon)
     return sets
 
 
@@ -108,9 +115,11 @@ def linear_quotient_search(ideal: SquarefreeIdeal) -> LinearQuotientCertificate 
     Lemma 2.1).
 
     Generators are sorted by (degree, mask). One is tried only once all of
-    lower degree are placed, in ascending index order, so the first order
-    found is lexicographically first. Failed placed-generator sets are
-    memoised (admissibility of the next generator only depends on the set).
+    lower degree are placed, in ascending index order, and is placed when
+    `_colon_set` finds the colon ideal of the placed generators by it
+    linear, so the first order found is lexicographically first. Failed
+    placed-generator sets are memoised (whether a generator can be placed
+    next only depends on the set).
     """
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("linear quotients are undefined for the zero and unit ideals")
@@ -118,33 +127,22 @@ def linear_quotient_search(ideal: SquarefreeIdeal) -> LinearQuotientCertificate 
     m = len(gens)
     check("linear_quotients", m)
     degs = [x.bit_count() for x in gens]
-    diff = [[gens[j] & ~gens[i] for i in range(m)] for j in range(m)]
-    single = [[diff[j][i].bit_count() == 1 for i in range(m)] for j in range(m)]
     failed: set[int] = set()
     order: list[int] = []
-
-    def admissible(i: int) -> bool:
-        singles = 0
-        for j in order:
-            if single[j][i]:
-                singles |= diff[j][i]
-        for j in order:
-            if not diff[j][i] & singles:
-                return False
-        return True
 
     def dfs(placed: int) -> bool:
         if len(order) == m:
             return True
         if placed in failed:
             return False
+        earlier = [gens[j] for j in order]
         low = degs[(~placed & (placed + 1)).bit_length() - 1]  # first unplaced
         for i in range(m):
             if placed >> i & 1:
                 continue
             if degs[i] > low:
                 break
-            if not admissible(i):
+            if _colon_set(earlier, gens[i]) is None:
                 continue
             order.append(i)
             if dfs(placed | (1 << i)):

@@ -4,7 +4,10 @@ Everything here works on plain sets and itertools enumeration, on purpose:
 no bitmask tricks, no pruning, no shared code with the package under test.
 Only viable at very small sizes. The one helper on bitmasks, near the top,
 is `induced_subgraph`, which relabels the subgraph on a vertex mask for the
-tests and the reducing-vertex reference.
+tests and the reducing-vertex reference. `colon_sets_by_antichain` is the
+reference for `ideals._colon_sets`, and
+`linear_quotient_order_by_permutations`, which tries every generator order,
+for the lex-first order of `ideals.linear_quotient_search`.
 
 The exception is at the end: the per-subset Hochster computation, which
 rebuilds each restricted complex from Berge transversals, and the
@@ -168,6 +171,18 @@ def colon_sets_by_antichain(monomials):
             return None
         out.append(sum(1 << v for q in mins for v in q))
     return out
+
+
+def linear_quotient_order_by_permutations(gens):
+    """The lexicographically first order of gens (indices into the list)
+    along which degrees never decrease and every colon ideal is linear, by
+    trying every permutation in turn; None if there is none."""
+    for order in permutations(range(len(gens))):
+        seq = [gens[i] for i in order]
+        degs = [m.bit_count() for m in seq]
+        if degs == sorted(degs) and colon_sets_by_antichain(seq) is not None:
+            return order
+    return None
 
 
 def is_chordal(g):

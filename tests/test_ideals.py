@@ -138,6 +138,28 @@ def test_colon_sets_match_the_antichain_oracle():
     assert linear > 200 and nonlinear > 200
 
 
+def test_linear_quotient_search_matches_the_permutation_oracle(graphs_through_5):
+    rng = random.Random(29)
+    ideals = []
+    for _ in range(400):
+        nvars = rng.randint(1, 6)
+        ideals.append(squarefree_ideal(
+            nvars, [rng.randrange(1, 1 << nvars) for _ in range(rng.randint(1, 7))]))
+    for g in graphs_through_5:
+        if g.edge_count():
+            ideals += [edge_ideal(g), GraphWorkup(g, GF2).cover]
+    found = missing = 0
+    for ideal in ideals:
+        if len(ideal.gens) > 7:
+            continue
+        cert = linear_quotient_search(ideal)
+        expect = oracle.linear_quotient_order_by_permutations(ideal.gens)
+        assert (None if cert is None else cert.order) == expect, ideal
+        found += expect is not None
+        missing += expect is None
+    assert found > 300 and missing > 20
+
+
 def test_edge_ideal_has_linear_quotients_iff_complement_is_chordal():
     # Froberg; Herzog, Hibi and Zheng. analyze relies on this instead of a
     # search that can take forever to prove that no order exists.
