@@ -1,16 +1,38 @@
-"""Helpers for subsets of {0..63} encoded as Python ints."""
+"""Helpers for sets of non-negative integers encoded as Python ints: vertex
+subsets of {0..63}, and the 2^n-bit planes whose bit S stands for the
+vertex subset S."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of mask in ascending order."""
+def _positions_below(width: int) -> tuple[tuple[int, ...], ...]:
+    """Entry mask: the ascending set bit positions of mask, for every mask
+    below 2^width. Built by doubling: the masks below 2^(v+1) are those
+    below 2^v, then each of them with v added."""
+    table: list[tuple[int, ...]] = [()]
+    for v in range(width):
+        table += [t + (v,) for t in table]
+    return tuple(table)
+
+
+# every vertex mask up to the subset_homology cap of 12 variables
+_LOW = _positions_below(12)
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of mask >= 0 in ascending order: read off one
+    table below 2^12, found one bit at a time above it."""
+    if mask < 4096:
+        return _LOW[mask]
+    out = []
     while mask:
         b = mask & -mask
-        yield b.bit_length() - 1
+        out.append(b.bit_length() - 1)
         mask ^= b
+    return tuple(out)
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -30,9 +52,10 @@ def submasks(mask: int) -> Iterator[int]:
         s = (s - mask) & mask
 
 
-def vertex_masks(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def vertex_masks(n: int) -> tuple[int, ...]:
     """Per vertex v below n, the 2^n-bit int whose bit S is set iff v is in
-    S: runs of 2^v clear and 2^v set bits, repeated."""
+    S: runs of 2^v clear and 2^v set bits, repeated. Built once per n."""
     out = []
     for v in range(n):
         run = 1 << v
@@ -41,4 +64,4 @@ def vertex_masks(n: int) -> list[int]:
             x |= x << width
             width *= 2
         out.append(x)
-    return out
+    return tuple(out)

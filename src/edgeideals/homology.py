@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import compress
 
 from .betti import BettiTable
-from .bitsets import bits, mask_of, vertex_masks
+from .bitsets import bits, vertex_masks
 from .complexes import SimplicialComplex
 from .graphs import read_ints
 from .ideals import SquarefreeIdeal
@@ -201,16 +201,25 @@ def _rule_tables(gens: tuple[int, ...], n: int) -> tuple[int, list[int], list[in
     by a fold, and kernel the non-cone subsets that no rule settles. The
     rules take priority in that order, cones first, then points, then
     folds, each by w, so these planes are disjoint. Byte S of face is 1 iff
-    S is a face."""
+    S is a face.
+
+    One sweep over the generators records three vertex masks per vertex,
+    and the point and fold rules are read off them: partner[w], the v != w
+    with {v, w} a face (no generator inside {v, w}); single[u], the
+    one-vertex remainders m - u of the generators m through u; and
+    longer[u], the other (m - u, m) pairs (none for an edge ideal), the only
+    ones whose face test reads the byte image."""
     size = 1 << n
     full = (1 << size) - 1
     has = vertex_masks(n)
+    meets = {0: 0}
 
-    def any_of(vs: int) -> int:  # the subsets meeting vs
-        out = 0
-        for v in bits(vs):
-            out |= has[v]
-        return out
+    def any_of(vs: int) -> int:  # the subsets meeting vs, memoised by vs
+        x = meets.get(vs)
+        if x is None:
+            low = vs & -vs
+            x = meets[vs] = any_of(vs ^ low) | has[low.bit_length() - 1]
+        return x
 
     # inside[m]: the subsets holding the generator m; through[v]: those
     # holding a generator through v; S is a face iff it holds none, and a
@@ -218,48 +227,50 @@ def _rule_tables(gens: tuple[int, ...], n: int) -> tuple[int, list[int], list[in
     inside = {}
     through = [0] * n
     nonfaces = 0
+    partner = [((1 << n) - 1) ^ (1 << w) for w in range(n)]
+    single = [0] * n
+    longer: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for m in gens:
         x = full
         for v in bits(m):
             x &= has[v]
         inside[m] = x
         nonfaces |= x
-        for v in bits(m):
-            through[v] |= x
+        if m & (m - 1) == 0:  # a variable: no pair holding it is a face
+            partner = [p & ~m for p in partner]
+            partner[m.bit_length() - 1] = 0
+        for u in bits(m):
+            through[u] |= x
+            r = m ^ (1 << u)
+            if r & (r - 1):
+                longer[u].append((r, m))
+            else:
+                single[u] |= r
+                partner[u] &= ~r
     faces = full & ~nonfaces
+    face = _spread(faces, size)
     cone = 0
     for v in range(n):
         cone |= has[v] & ~through[v]
-    # an isolated point w is alone in S if S meets none of its neighbours,
-    # the v with {w, v} a face; u folds w off S if S holds both and none of
-    # the generators that keep u from coning off the link of w: near holds
-    # their one-vertex remainders m - u, longer the others (none for an
-    # edge ideal)
-    point = [0] * n
-    for w in range(n):
-        if faces >> (1 << w) & 1:
-            others = mask_of(v for v in range(n) if v != w and faces >> ((1 << w) | (1 << v)) & 1)
-            point[w] = has[w] & ~any_of(others)
+    # an isolated point w is alone in S if S meets none of its partners; u
+    # folds w off S if S holds both and none of the generators that keep u
+    # from coning off the link of w: those m through u with (m - u) + w a
+    # face, single[u] & partner[w] where m - u is one vertex
+    point = [has[w] & ~any_of(partner[w]) if face[1 << w] else 0 for w in range(n)]
     fold = [0] * n
     for u in range(n):
-        rest = [(m ^ (1 << u), m) for m in gens if m >> u & 1]
-        for w in range(n):
-            if w == u or not faces >> ((1 << u) | (1 << w)) & 1:
-                continue
-            off, block = 0, has[u] & has[w]
-            for r, m in rest:
-                if faces >> (r | (1 << w)) & 1:
-                    if r & (r - 1):
-                        block &= ~inside[m]
-                    else:
-                        off |= r
-            fold[w] |= block & ~any_of(off)
+        for w in bits(partner[u]):
+            block = has[u] & has[w]
+            for r, m in longer[u]:
+                if face[r | 1 << w]:
+                    block &= ~inside[m]
+            fold[w] |= block & ~any_of(single[u] & partner[w])
     taken = cone
     for rule in (point, fold):
         for w, x in enumerate(rule):
             rule[w] = x & ~taken
             taken |= x
-    return full & ~taken, point, fold, _spread(faces, size)
+    return full & ~taken, point, fold, face
 
 
 def _two_variable_stars(gens: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -347,7 +358,11 @@ def _restriction_planes(ideal: SquarefreeIdeal, field: FieldChoice) -> dict[Rank
     size-k subsets that a fold or a point takes w off are read off the
     size-(k-1) planes shifted left by 2^w, masked by the rule's plane: a
     fold keeps the table of S - w, a point adds one rank in degree 0 to it;
-    the size-(k-1) subsets in no plane have zero homology. Then each size-k
+    the size-(k-1) subsets in no plane have zero homology. The rule planes
+    need no masking by size: shifting a size-(k-1) T left by 2^w lands on
+    T + w when T misses w, and on a set without w when the carry clears
+    bit w, and every subset in a rule's plane for w holds w, so each bit
+    that survives the mask is some T + w, of size k. Then each size-k
     kernel subset, ascending, is split at the star of its lowest vertex that
     allows it, or else handed to the rank kernel as its generator nerve or
     as its own faces, whichever has fewer vertices. A split reads the tables
@@ -375,10 +390,9 @@ def _restriction_planes(ideal: SquarefreeIdeal, field: FieldChoice) -> dict[Rank
         i, b = t >> 3, 1 << (t & 7)
         return next((table for table, image in images if image[i] & b), ())
 
+    rules = [(1 << w, f, p) for w, (f, p) in enumerate(zip(fold, point)) if f | p]
     for k in range(n + 1):
         if k:
-            rules = [(1 << w, f & levels[k], p & levels[k])
-                     for w, (f, p) in enumerate(zip(fold, point)) if (f | p) & levels[k]]
             below = [(table, plane & levels[k - 1]) for table, plane in planes.items()
                      if plane & levels[k - 1]]
             zero = levels[k - 1]

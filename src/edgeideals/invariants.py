@@ -155,7 +155,7 @@ def path_packing_number(g: Graph, induced_paths: bool = False
     units: list[tuple[int, ...]] = list(g.edges())
     seen: set[int] = set()
     for v in range(g.n):
-        nb = list(bits(g.adj[v]))
+        nb = bits(g.adj[v])
         for a in range(len(nb)):
             for b in range(a + 1, len(nb)):
                 u, w = nb[a], nb[b]

@@ -34,7 +34,11 @@ kernels on every row. The very end is the restriction pass that tests its
 three rules on each subset in turn, the reference for the pass that reads
 them off whole-table bitsets. After it, the generator nerve of a
 restriction, listed from plain sets, the reference for the nerve that the
-pass hands the kernel in place of the restriction's faces.
+pass hands the kernel in place of the restriction's faces. Last come the bit
+positions of a mask found one test per bit, the reference for the table that
+`bitsets.bits` reads, and the pass's rule tables built by shifting the face
+plane once per face test, the reference for the per-vertex masks of
+`homology._rule_tables`.
 """
 
 import random
@@ -44,7 +48,7 @@ from itertools import combinations, permutations
 
 from edgeideals import (BettiTable, Graph, build_graph, edge_ideal, homology,
                         minimal_hitting_sets, simplicial_complex)
-from edgeideals.bitsets import bits, mask_of, submasks
+from edgeideals.bitsets import bits, mask_of, submasks, vertex_masks
 from edgeideals.graphs import _canonical
 from edgeideals.homology import _boundary_rank
 from edgeideals.limits import check
@@ -812,3 +816,70 @@ def generator_nerve(gens, s):
     return [mask_of(t) for r in range(len(inside) + 1)
             for t in combinations(range(len(inside)), r)
             if set().union(*(inside[i] for i in t)) != target]
+
+
+def bit_positions(mask):
+    """The set bit positions of a mask >= 0, ascending, one test per bit:
+    the reference for `bitsets.bits`."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def rule_tables_by_face_shifts(gens, n):
+    """(kernel, point, fold, face) of the restriction pass, built as the
+    pass once did: each face test shifts the 2^n-bit face plane, each pair
+    and each generator through u is tried against every w, and the subsets
+    meeting a vertex set are ORed afresh each time. It is the reference for
+    `homology._rule_tables`, which reads the same tests off per-vertex masks
+    and a byte image of the faces. Positions come from `bit_positions`; the
+    vertex planes and the byte image are the package's `vertex_masks` and
+    `homology._spread`, each checked on its own."""
+    size = 1 << n
+    full = (1 << size) - 1
+    has = vertex_masks(n)
+
+    def any_of(vs):  # the subsets meeting vs
+        out = 0
+        for v in bit_positions(vs):
+            out |= has[v]
+        return out
+
+    inside = {}
+    through = [0] * n
+    nonfaces = 0
+    for m in gens:
+        x = full
+        for v in bit_positions(m):
+            x &= has[v]
+        inside[m] = x
+        nonfaces |= x
+        for v in bit_positions(m):
+            through[v] |= x
+    faces = full & ~nonfaces
+    cone = 0
+    for v in range(n):
+        cone |= has[v] & ~through[v]
+    point = [0] * n
+    for w in range(n):
+        if faces >> (1 << w) & 1:
+            others = mask_of(v for v in range(n) if v != w and faces >> ((1 << w) | (1 << v)) & 1)
+            point[w] = has[w] & ~any_of(others)
+    fold = [0] * n
+    for u in range(n):
+        rest = [(m ^ (1 << u), m) for m in gens if m >> u & 1]
+        for w in range(n):
+            if w == u or not faces >> ((1 << u) | (1 << w)) & 1:
+                continue
+            off, block = 0, has[u] & has[w]
+            for r, m in rest:
+                if faces >> (r | (1 << w)) & 1:
+                    if r & (r - 1):
+                        block &= ~inside[m]
+                    else:
+                        off |= r
+            fold[w] |= block & ~any_of(off)
+    taken = cone
+    for rule in (point, fold):
+        for w, x in enumerate(rule):
+            rule[w] = x & ~taken
+            taken |= x
+    return full & ~taken, point, fold, homology._spread(faces, size)

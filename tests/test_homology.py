@@ -183,6 +183,46 @@ def test_submasks_ascend_through_every_subset():
                                        0b1000, 0b1001, 0b1010, 0b1011]
 
 
+def test_bits_lists_the_set_positions_in_ascending_order():
+    # every mask below 2^13 crosses the edge of the 2^12 table; then 0,
+    # seeded masks below 2^64 and one 4096-bit plane, past it
+    for mask in range(1 << 13):
+        assert list(bits(mask)) == oracle.bit_positions(mask), mask
+    rng = random.Random(30)
+    wide = [rng.getrandbits(rng.randint(13, 64)) for _ in range(2000)]
+    plane = rng.getrandbits(4096) | 1 << 4095
+    for mask in [0, (1 << 64) - 1, 1 << 63, *wide, plane]:
+        assert list(bits(mask)) == oracle.bit_positions(mask), mask
+    # a sequence, not a one-shot iterator
+    for mask in (0b1011, 1 << 40 | 5, plane):
+        got = bits(mask)
+        assert list(got) == list(got) == oracle.bit_positions(mask)
+
+
+def test_rule_tables_match_the_face_shift_oracle():
+    # the zero ideal, the edge and cover ideals of every class on 1-7
+    # vertices, and seeded antichains on at most 9 variables with
+    # generators of one to four variables
+    ideals = [squarefree_ideal(n, []) for n in range(6)]
+    for n in range(1, 8):
+        for g in enumerate_graphs(n, connected_only=False):
+            ideals.append(edge_ideal(g))
+            if g.edge_count():
+                ideals.append(dual_ideal(ideals[-1]))
+    rng = random.Random(30)
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        ideals.append(squarefree_ideal(n, [
+            mask_of(rng.sample(range(n), min(n, rng.choice((1, 2, 2, 3, 3, 4)))))
+            for _ in range(rng.randint(1, 12))]))
+    degrees = set()
+    for ideal in ideals:
+        expect = oracle.rule_tables_by_face_shifts(ideal.gens, ideal.nvars)
+        assert homology._rule_tables(ideal.gens, ideal.nvars) == expect, ideal
+        degrees.update(m.bit_count() for m in ideal.gens)
+    assert {1, 3, 4} <= degrees
+
+
 def test_hochster_matches_transversal_oracle():
     # every class on at most 6 vertices, connected or not; the cover ideal
     # of an edgeless graph is the unit ideal and has no Betti table
