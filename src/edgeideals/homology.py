@@ -212,13 +212,15 @@ def _rule_tables(gens: tuple[int, ...], n: int) -> tuple[int, list[int], list[in
     size = 1 << n
     full = (1 << size) - 1
     has = vertex_masks(n)
-    meets = {0: 0}
+    meets: dict[int, int] = {}
 
-    def any_of(vs: int) -> int:  # the subsets meeting vs, memoised by vs
+    def any_of(vs: int) -> int:  # the subsets meeting vs, memoised by vs alone
         x = meets.get(vs)
         if x is None:
-            low = vs & -vs
-            x = meets[vs] = any_of(vs ^ low) | has[low.bit_length() - 1]
+            x = 0
+            for v in bits(vs):
+                x |= has[v]
+            meets[vs] = x
         return x
 
     # inside[m]: the subsets holding the generator m; through[v]: those

@@ -56,7 +56,8 @@ def squarefree_ideal(nvars: int, gens: Iterable[int]) -> SquarefreeIdeal:
 
 
 def edge_ideal(g: Graph) -> SquarefreeIdeal:
-    return squarefree_ideal(g.n, ((1 << u) | (1 << v) for u, v in g.edges()))
+    # distinct 2-sets are already an antichain, all of one degree
+    return SquarefreeIdeal(g.n, tuple(sorted((1 << u) | (1 << v) for u, v in g.edges())))
 
 
 def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:

@@ -8,6 +8,8 @@ return a witness alongside the size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 from .bitsets import bits, mask_of
 from .graphs import Graph
@@ -21,65 +23,37 @@ def _pair_induced(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> bool:
     return not (g.adj[a] | g.adj[b]) & ((1 << c) | (1 << d))
 
 
-def _union(table: dict[int, int], mask: int) -> int:
-    out = 0
-    for v in bits(mask):
-        out |= table.get(v, 0)
-    return out
+@lru_cache(maxsize=1)
+def _edge_tables(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...],
+                                    tuple[int, ...], int]:
+    """(edges, touch, near, used) of g: its edges in `Graph.edges` order;
+    touch[v], the indices of the edges holding v, as a bitmask; near[v],
+    the OR of touch[w] over w in N(v), the edges with an end in N(v); and
+    used, the number of vertices on some edge. `compute_invariants` runs
+    its four searches on one graph in turn, so one entry serves them all."""
+    edges = tuple(g.edges())
+    touch = [0] * g.n
+    for i, (a, b) in enumerate(edges):
+        touch[a] |= 1 << i
+        touch[b] |= 1 << i
+    near = []
+    for v in range(g.n):
+        x = 0
+        for w in bits(g.adj[v]):
+            x |= touch[w]
+        near.append(x)
+    return edges, tuple(touch), tuple(near), sum(1 for x in g.adj if x)
 
 
-def _compatible_rows(units: list[tuple[int, ...]], near) -> list[int]:
-    """Row i: the units j > i disjoint from unit i that go with it, as a
-    bitmask of indices. The search only adds units after the last one it
-    took, so the rows hold no earlier ones. A longer unit goes with every
-    unit it is disjoint from. For a two-vertex unit u, near(u) gives two
-    vertex masks (touch, second): a later two-vertex unit goes with u iff
-    none of its vertices is in touch and its second vertex is not in second.
-
-    Both tests are read off per-vertex unit masks: touching[v], the units
-    holding v, and seconds[v], the two-vertex units whose second vertex is
-    v. The units u rules out are the union of touching over touch and of
-    seconds over second, which depends on the two masks alone."""
-    touching: dict[int, int] = {}
-    seconds: dict[int, int] = {}
-    longer = 0
-    for j, u in enumerate(units):
-        for v in u:
-            touching[v] = touching.get(v, 0) | 1 << j
-        if len(u) > 2:
-            longer |= 1 << j
-        else:
-            seconds[u[1]] = seconds.get(u[1], 0) | 1 << j
-    every = (1 << len(units)) - 1
-    # the units each touch and each second mask rules out, kept per mask:
-    # a search's units share few neighbourhoods
-    by_touch: dict[int, int] = {}
-    by_second: dict[int, int] = {}
-    rows = []
-    for i, u in enumerate(units):
-        free = every & -(2 << i)
-        for v in u:
-            free &= ~touching[v]
-        if len(u) > 2:
-            rows.append(free)
-            continue
-        touch, second = near(u)
-        blocked = by_touch.get(touch)
-        if blocked is None:
-            blocked = by_touch[touch] = _union(touching, touch)
-        other = by_second.get(second)
-        if other is None:
-            other = by_second[second] = _union(seconds, second)
-        rows.append(free & (longer | ~(blocked | other)))
-    return rows
-
-
-def _best_compatible(units: list[tuple[int, ...]], near) -> list[tuple[int, ...]]:
-    """Largest set of pairwise vertex-disjoint units in which every two
-    two-vertex units go with each other by near's masks (a max clique in the
-    compatibility graph of `_compatible_rows`), with the first such set in
-    lexicographic exploration order as witness. A longer unit goes with
-    every unit it is disjoint from.
+def _best_compatible(units: Sequence[tuple[int, ...]], rows: list[int], free: int,
+                     two: int) -> list[tuple[int, ...]]:
+    """Largest set of units that pairwise go with each other (a max clique
+    in the compatibility graph), with the first such set in lexicographic
+    exploration order as witness. Row i is the bitmask of the units j > i
+    that go with unit i: the search only adds units after the last one it
+    took, so the rows hold no earlier ones. Units have two or three
+    vertices, units that go together are disjoint, two is the mask of the
+    two-vertex units and free the number of vertices on some unit.
 
     The search takes units in ascending index, first with and then without
     each one. Two bounds cap how many more units a branch can add to the
@@ -91,37 +65,32 @@ def _best_compatible(units: list[tuple[int, ...]], near) -> list[tuple[int, ...]
     cannot strictly beat the best set found, so the witness is the one the
     search bounded by the candidate count alone finds in the same order.
     """
-    compat = _compatible_rows(units, near)
-    of_size: dict[int, int] = {}
-    used = 0
-    for i, u in enumerate(units):
-        of_size[len(u)] = of_size.get(len(u), 0) | 1 << i
-        used |= mask_of(u)
-    by_size = sorted(of_size.items())
     best = 0
     best_set: list[int] = []
+    chosen: list[int] = []
 
-    def expand(chosen: list[int], cand: int, free: int) -> None:
+    def expand(cand: int, free: int) -> None:
         nonlocal best, best_set
-        if cand == 0:
-            if len(chosen) > best:
-                best, best_set = len(chosen), chosen[:]
-            return
+        k = len(chosen)
         while cand:
-            room = best - len(chosen)
-            if cand.bit_count() <= room:
-                return
-            for size, mask in by_size:
-                if cand & mask:
-                    break
-            if free // size <= room:
+            room = best - k
+            if cand.bit_count() <= room or (
+                    free >> 1 if cand & two else free // 3) <= room:
                 return
             b = cand & -cand
             v = b.bit_length() - 1
             cand ^= b
-            expand(chosen + [v], cand & compat[v], free - len(units[v]))
+            # a unit that leaves no candidates ends its branch: compared here
+            # rather than in a call of its own
+            after = cand & rows[v]
+            if after:
+                chosen.append(v)
+                expand(after, free - (2 if two & b else 3))
+                chosen.pop()
+            elif k >= best:
+                best, best_set = k + 1, chosen + [v]
 
-    expand([], (1 << len(units)) - 1, used.bit_count())
+    expand((1 << len(units)) - 1, free)
     # expand refers to itself through its closure; dropping the name breaks
     # that cycle, so the search's state is freed now, not by the cyclic GC
     del expand
@@ -131,15 +100,22 @@ def _best_compatible(units: list[tuple[int, ...]], near) -> list[tuple[int, ...]
 def matching_number(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     """Maximum set of pairwise vertex-disjoint edges, found exhaustively."""
     check("invariants", g.n)
-    best = _best_compatible(g.edges(), lambda e: (0, 0))
+    edges, touch, _, used = _edge_tables(g)
+    every = (1 << len(edges)) - 1
+    rows = [every & -(2 << i) & ~(touch[a] | touch[b]) for i, (a, b) in enumerate(edges)]
+    best = _best_compatible(edges, rows, used, every)
     return len(best), best
 
 
 def induced_matching_number(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     """Maximum matching whose edges pairwise induce no extra edge."""
     check("invariants", g.n)
-    # `_pair_induced` as masks: the later edge misses N(a) | N(b)
-    best = _best_compatible(g.edges(), lambda e: (g.adj[e[0]] | g.adj[e[1]], 0))
+    # `_pair_induced` as masks: a later edge misses N(a) | N(b), which holds
+    # a and b, so it is disjoint from ab too
+    edges, _, near, used = _edge_tables(g)
+    every = (1 << len(edges)) - 1
+    rows = [every & -(2 << i) & ~(near[a] | near[b]) for i, (a, b) in enumerate(edges)]
+    best = _best_compatible(edges, rows, used, every)
     return len(best), best
 
 
@@ -152,21 +128,31 @@ def path_packing_number(g: Graph, induced_paths: bool = False
     u and w may be adjacent, with induced_paths=True they must not be.
     """
     check("invariants", g.n)
-    units: list[tuple[int, ...]] = list(g.edges())
-    seen: set[int] = set()
+    edges, _, near, used = _edge_tables(g)
+    m = len(edges)
+    # the walks u-v-w with u < w, by centre v; a triangle is listed once,
+    # at its lowest vertex
+    paths: list[tuple[int, ...]] = []
     for v in range(g.n):
         nb = bits(g.adj[v])
-        for a in range(len(nb)):
-            for b in range(a + 1, len(nb)):
-                u, w = nb[a], nb[b]
-                if induced_paths and g.has_edge(u, w):
+        for a, u in enumerate(nb):
+            for w in nb[a + 1:]:
+                if g.adj[u] >> w & 1 and (induced_paths or u < v):
                     continue
-                m = mask_of((u, v, w))
-                if m in seen:
-                    continue
-                seen.add(m)
-                units.append((u, v, w))
-    best = _best_compatible(units, lambda e: (g.adj[e[0]] | g.adj[e[1]], 0))
+                paths.append((u, v, w))
+    # on[v]: the paths holding v, as unit indices after the m edges
+    on = [0] * g.n
+    for j, p in enumerate(paths, m):
+        for x in p:
+            on[x] |= 1 << j
+    every = (1 << (m + len(paths))) - 1
+    # an edge goes with the later edges missing N(a) | N(b) and the paths
+    # missing a and b; a path with the later paths it is disjoint from
+    rows = [every & -(2 << i) & ~(near[a] | near[b] | on[a] | on[b])
+            for i, (a, b) in enumerate(edges)]
+    rows += [every & -(2 << j) & ~(on[u] | on[v] | on[w])
+             for j, (u, v, w) in enumerate(paths, m)]
+    best = _best_compatible(list(edges) + paths, rows, used, (1 << m) - 1)
     return len(best), best
 
 
@@ -179,13 +165,31 @@ def whisker_number(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     Witness pairs are (a_i, b_i).
     """
     check("invariants", g.n)
+    edges, _, _, used = _edge_tables(g)
+    # units 2i = (a, b) and 2i + 1 = (b, a) for the edge i = ab; hold[v]:
+    # the units holding v, second[v]: those whose second vertex is v
     units: list[tuple[int, int]] = []
-    for u, v in g.edges():
-        units.append((u, v))
-        units.append((v, u))
+    hold = [0] * g.n
+    second = [0] * g.n
+    for i, (a, b) in enumerate(edges):
+        units += [(a, b), (b, a)]
+        hold[a] |= 3 << 2 * i
+        hold[b] |= 3 << 2 * i
+        second[b] |= 1 << 2 * i
+        second[a] |= 2 << 2 * i
+    nhold = [0] * g.n
+    nsecond = [0] * g.n
+    for v in range(g.n):
+        for w in bits(g.adj[v]):
+            nhold[v] |= hold[w]
+            nsecond[v] |= second[w]
     # (a2, b2) goes with (a1, b1) iff b1 sees neither a2 nor b2 (no vertex
-    # in N(b1)) and b2 does not see a1 (b2 not in N(a1))
-    best = _best_compatible(units, lambda ab: (g.adj[ab[1]], g.adj[ab[0]]))
+    # in N(b1)) and b2 does not see a1 (b2 not in N(a1)); the pairs are
+    # disjoint too, and hold[a1] lies in nhold[b1] since a1 is in N(b1)
+    every = (1 << len(units)) - 1
+    rows = [every & -(2 << k) & ~(hold[b] | nhold[b] | nsecond[a])
+            for k, (a, b) in enumerate(units)]
+    best = _best_compatible(units, rows, used, every)
     return len(best), best
 
 

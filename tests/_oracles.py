@@ -365,7 +365,11 @@ def brute_induced_matching(g):
     return 0
 
 
-def _path_units(g, induced):
+def path_units_by_vertex_sets(g, induced):
+    """The units of `invariants.path_packing_number`: the edges, then the
+    walks a-v-b with a < b by centre v, each vertex set kept once (a
+    triangle has three centres), with a and b not adjacent if induced. It
+    is the reference for that search's lowest-centre triangle rule."""
     units = [tuple(e) for e in g.edges()]
     seen = set()
     for v in range(g.n):
@@ -381,7 +385,7 @@ def _path_units(g, induced):
 
 
 def brute_path_packing(g, induced=False):
-    units = _path_units(g, induced)
+    units = path_units_by_vertex_sets(g, induced)
     for r in range(min(len(units), g.n // 2 + 1), 0, -1):
         for combo in combinations(units, r):
             if not _disjoint(combo):
@@ -589,8 +593,8 @@ def best_compatible_by_count(units, compatible):
     number of candidates left: the same exploration order (ascending unit
     index, each unit first taken, then deleted), so the same first maximum
     as witness. It asks the pair predicate compatible only about two
-    two-vertex units, where that search reads neighbourhood masks; a longer
-    unit goes with every unit it is disjoint from."""
+    two-vertex units, where that search reads rows built from per-vertex
+    edge tables; a longer unit goes with every unit it is disjoint from."""
     masks = [mask_of(u) for u in units]
     compat = [0] * len(units)
     for i in range(len(units)):
@@ -624,9 +628,9 @@ def best_compatible_by_count(units, compatible):
 
 
 def compatible_rows_by_pairs(units, compatible):
-    """The rows of `invariants._compatible_rows`, from testing every later
-    unit for disjointness in turn: row i holds the units j > i disjoint from
-    unit i that go with it."""
+    """The rows each search of `invariants` hands `_best_compatible`, from
+    testing every later unit for disjointness in turn: row i holds the
+    units j > i disjoint from unit i that go with it."""
     masks = [mask_of(u) for u in units]
     rows = []
     for i, u in enumerate(units):

@@ -29,6 +29,18 @@ def test_edge_ideal_frozen():
     assert edge_ideal(family("edgeless:3")).is_zero
 
 
+def test_edge_ideal_equals_the_antichain_build():
+    # every class on 1-7 vertices and the 12-vertex graphs analyze is
+    # benchmarked on, with their complements
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n, connected_only=False)]
+    for spec in ("path:11", "cycle:12", "pendant_cycle:5", "capped_cycle:5",
+                 "complete:12", "dtree:1,10,0", "dtree:2,9,0", "dtree:3,8,0"):
+        graphs += [family(spec), complement(family(spec))]
+    for g in graphs:
+        pairs = ((1 << u) | (1 << v) for u, v in g.edges())
+        assert edge_ideal(g) == squarefree_ideal(g.n, pairs), g.edges()
+
+
 def test_minimal_hitting_sets_edge_cases():
     assert minimal_hitting_sets([]) == [0]
     assert minimal_hitting_sets([0b10, 0]) == []

@@ -11,6 +11,7 @@ from edgeideals import (GF2, VDLeaf, VDNode, analyze, build_graph,
                         is_triangle_free,
                         matching_number, path_packing_number,
                         validate_vertex_decomposition, whisker_number)
+from edgeideals.bitsets import mask_of
 from edgeideals.invariants import (validate_induced_matching_witness,
                                    validate_matching_witness,
                                    validate_path_packing_witness,
@@ -208,7 +209,7 @@ def test_bounded_search_matches_the_count_only_oracle(monkeypatch):
                  enumerate([(8, 3), (8, 7), (9, 5), (9, 8), (10, 4), (10, 6)])]
     bounded = [_searched(g) for g in subjects]
     predicates = iter([p for g in subjects for p in _pairwise(g)])
-    monkeypatch.setattr(invariants, "_best_compatible", lambda units, near:
+    monkeypatch.setattr(invariants, "_best_compatible", lambda units, rows, free, two:
                         oracle.best_compatible_by_count(units, next(predicates)))
     for g, found in zip(subjects, bounded):
         assert _searched(g) == found, g.edges()
@@ -262,9 +263,9 @@ def test_compatibility_rows_match_pairwise_build(monkeypatch):
     searches = []
     search = invariants._best_compatible
 
-    def recording(units, near):
-        searches.append((list(units), near))
-        return search(units, near)
+    def recording(units, rows, free, two):
+        searches.append((list(units), rows, free, two))
+        return search(units, rows, free, two)
 
     monkeypatch.setattr(invariants, "_best_compatible", recording)
     graphs = [g for n in range(1, 8) for g in enumerate_graphs(n, connected_only=False)]
@@ -278,6 +279,42 @@ def test_compatibility_rows_match_pairwise_build(monkeypatch):
         _searched(g)
         predicates += _pairwise(g)
     assert len(searches) == len(predicates) == 5 * len(graphs)
-    for (units, near), compatible in zip(searches, predicates):
-        assert (invariants._compatible_rows(units, near)
-                == oracle.compatible_rows_by_pairs(units, compatible)), units
+    for (units, rows, free, two), compatible in zip(searches, predicates):
+        assert rows == oracle.compatible_rows_by_pairs(units, compatible), units
+        assert two == mask_of(i for i, u in enumerate(units) if len(u) == 2), units
+        assert free == mask_of(v for u in units for v in u).bit_count(), units
+
+
+def _path_units(g, induced_paths, monkeypatch):
+    """The units path_packing_number(g, induced_paths) hands its search."""
+    searched = []
+    monkeypatch.setattr(invariants, "_best_compatible",
+                        lambda units, rows, free, two: searched.append(list(units)) or [])
+    path_packing_number(g, induced_paths=induced_paths)
+    monkeypatch.undo()
+    return searched[0]
+
+
+def test_two_edge_paths_match_the_vertex_set_dedup(monkeypatch):
+    # every class on 1-7 vertices, and the complete graphs on 4-7 vertices,
+    # whose every two-edge path lies in a triangle
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n, connected_only=False)]
+    graphs += [family(f"complete:{n}") for n in range(4, 8)]
+    for g in graphs:
+        for induced in (False, True):
+            assert (_path_units(g, induced, monkeypatch)
+                    == oracle.path_units_by_vertex_sets(g, induced)), (g.edges(), induced)
+
+
+def test_each_search_returns_its_compute_invariants_fields():
+    # the searches called alone and in the reverse of compute_invariants'
+    # order, so each reads the edge tables whatever ran before it
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n, connected_only=False)]
+    graphs += [family("complete:16"), _random_graph(14, 3, 7)]
+    for g in graphs:
+        inv = compute_invariants(g)
+        assert matching_number(g) == (inv.matching, inv.matching_witness)
+        assert whisker_number(g) == (inv.whisker_number, inv.whisker_witness)
+        assert path_packing_number(g) == (inv.path_packing, inv.path_packing_witness)
+        assert induced_matching_number(g) == (inv.induced_matching,
+                                              inv.induced_matching_witness)
