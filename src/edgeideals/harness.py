@@ -11,7 +11,6 @@ does not replay fails the row with the reason.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from functools import cached_property
 
@@ -416,6 +415,9 @@ def verify_theorems(max_n: int = 6, connected_only: bool = True,
 
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        # imported here: most runs are serial, and the import costs every
+        # start of the package milliseconds
+        import multiprocessing
         with multiprocessing.Pool(workers) as pool:
             chunks = pool.map(_run_payload, tasks)
     else:

@@ -14,6 +14,12 @@ to the vertices, with clearing: the boundary of the d-faces leaves out the
 rows of the d-faces that the elimination one dimension up pivoted on, since
 those rows would all reduce to zero. The edges and the vertices go through
 the same loop as every other dimension.
+
+Hochster's restriction pass (`_restriction_planes`) settles most variable
+subsets S by exact rules, on 2^n-bit planes: cones, isolated points, folds,
+vertex-star splits, and the generators, each the boundary of a simplex. The
+rest reach the rank loop as the shorter of two lists with the homology of
+the restriction to S: its faces, or its Alexander dual in S.
 """
 
 from __future__ import annotations
@@ -193,15 +199,17 @@ def _levels(n: int) -> tuple[int, ...]:
     return tuple(levels)
 
 
-def _rule_tables(gens: tuple[int, ...], n: int) -> tuple[int, list[int], list[int], bytes]:
-    """(kernel, point, fold, face) for the restriction pass over the ideal
-    with these generators in n variables. Each rule is decided for every S
-    at once, on 2^n-bit ints whose bit S stands for S: point[w] and fold[w]
-    hold the subsets whose first rule takes w off, as an isolated point or
-    by a fold, and kernel the non-cone subsets that no rule settles. The
-    rules take priority in that order, cones first, then points, then
-    folds, each by w, so these planes are disjoint. Byte S of face is 1 iff
-    S is a face.
+def _rule_tables(gens: tuple[int, ...], n: int
+                 ) -> tuple[int, list[int], list[int], int, int, bytes]:
+    """(kernel, point, fold, sphere, faces, face) for the restriction pass
+    over the ideal with these generators in n variables. Each rule is
+    decided for every S at once, on 2^n-bit ints whose bit S stands for S:
+    point[w] and fold[w] hold the subsets whose first rule takes w off, as
+    an isolated point or by a fold, sphere the generators that no rule
+    takes, and kernel the non-cone subsets that no rule settles. The rules
+    take priority in that order, cones first, then points, then folds, each
+    by w, then spheres, so these planes are disjoint. Bit S of faces, and
+    byte S of face, is 1 iff S is a face.
 
     One sweep over the generators records three vertex masks per vertex,
     and the point and fold rules are read off them: partner[w], the v != w
@@ -272,7 +280,13 @@ def _rule_tables(gens: tuple[int, ...], n: int) -> tuple[int, list[int], list[in
         for w, x in enumerate(rule):
             rule[w] = x & ~taken
             taken |= x
-    return full & ~taken, point, fold, face
+    # the restriction to a generator m is the boundary of the simplex on m:
+    # the generators are an antichain, so m is the only one inside m
+    sphere = 0
+    for m in gens:
+        sphere |= 1 << m
+    sphere &= ~taken
+    return full & ~taken & ~sphere, point, fold, sphere, faces, face
 
 
 def _two_variable_stars(gens: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -341,20 +355,23 @@ def _restriction_planes(ideal: SquarefreeIdeal, field: FieldChoice) -> dict[Rank
     rest reach a rank kernel: on the 12-vertex graphs `analyze` is
     benchmarked on, 11 of their 45,056 restrictions, S empty on each
     graph. An ideal with no two-variable star (most cover ideals) hands
-    the kernel every subset the first three rules leave.
+    the kernel every subset that the first three rules and the spheres
+    leave.
+
+    A generator m that no rule takes restricts to the boundary of the
+    simplex on m, since the generators are an antichain and m is the only
+    one inside m: one rank in degree |m| - 2. (No generator is a cone or
+    folds, and the point rule takes every generator of two variables.)
 
     The kernel sees the smaller of two complexes with the homology of the
-    restriction to a nonempty S. Let G_S be the k generators inside S. If
-    k <= |S|, it gets their nerve N_S, the sets T of them whose union is
-    not S, and the ranks of S are rank Htilde_d = rank Htilde_{|S|-d-3} of
-    N_S, over every field: the Alexander dual of the restriction in S has
-    the facets S - m, m in G_S, which meet exactly where their m do not
-    cover S, so the nerve lemma makes it homotopy equivalent to N_S, and
-    combinatorial Alexander duality (Bjorner and Tancer, DCG 42, 2009)
-    turns its homology in degree |S|-d-3 into that of the restriction in
-    degree d. A generator S has the nerve {emptyset}, one rank in degree
-    |S| - 2. Otherwise, and for S empty, the kernel gets the faces inside
-    S.
+    restriction to a nonempty S: its faces, or its Alexander dual in S,
+    the F inside S with S - F a non-face. F -> S - F pairs off the subsets
+    of S, so the two lists have 2^|S| faces together. The faces inside S
+    are counted first, as the popcount of the face plane masked to the
+    subsets of S, and only the smaller list is made, the faces on a tie.
+    Combinatorial Alexander duality (Bjorner and Tancer, DCG 42, 2009)
+    gives rank Htilde_d of the restriction = rank Htilde_{|S|-d-3} of the
+    dual, over every field. S empty gets its own faces, {emptyset}.
 
     The pass settles the subsets one size k = 0..n at a time. First the
     size-k subsets that a fold or a point takes w off are read off the
@@ -364,10 +381,11 @@ def _restriction_planes(ideal: SquarefreeIdeal, field: FieldChoice) -> dict[Rank
     need no masking by size: shifting a size-(k-1) T left by 2^w lands on
     T + w when T misses w, and on a set without w when the carry clears
     bit w, and every subset in a rule's plane for w holds w, so each bit
-    that survives the mask is some T + w, of size k. Then each size-k
+    that survives the mask is some T + w, of size k. The size-k generators
+    of the sphere plane join the table ((k - 2, 1),). Then each size-k
     kernel subset, ascending, is split at the star of its lowest vertex that
-    allows it, or else handed to the rank kernel as its generator nerve or
-    as its own faces, whichever has fewer vertices. A split reads the tables
+    allows it, or else handed to the rank kernel as its own faces or as its
+    dual, whichever list is shorter. A split reads the tables
     of S - v and S - N[v] off byte images of the planes, taken once per
     size, so the size-k results join the planes after the whole size.
     Betti tables and `reducing_vertex` read the planes directly. Which rule
@@ -376,11 +394,12 @@ def _restriction_planes(ideal: SquarefreeIdeal, field: FieldChoice) -> dict[Rank
         raise ValueError("Betti numbers of the unit quotient are undefined")
     n = ideal.nvars
     check("subset_homology", n)
-    kernel, point, fold, face = _rule_tables(ideal.gens, n)
+    kernel, point, fold, sphere, faces, face = _rule_tables(ideal.gens, n)
     stars = _two_variable_stars(ideal.gens, n)
     levels = _levels(n)
     size = 1 << n
     width = (size + 7) >> 3
+    has = vertex_masks(n)
     by_size: list[list[int]] = [[] for _ in range(n + 1)]
     for s in compress(range(size), _spread(kernel, size)):
         by_size[s.bit_count()].append(s)
@@ -413,6 +432,9 @@ def _restriction_planes(ideal: SquarefreeIdeal, field: FieldChoice) -> dict[Rank
                     ranks[0] = ranks.get(0, 0) + 1
                     up = tuple(sorted(ranks.items()))
                     planes[up] = planes.get(up, 0) | pointed
+        spheres = sphere & levels[k]
+        if spheres:
+            planes[((k - 2, 1),)] = planes.get(((k - 2, 1),), 0) | spheres
         if not by_size[k]:
             continue
         # cleared first, so the last size's images are freed before these
@@ -430,27 +452,26 @@ def _restriction_planes(ideal: SquarefreeIdeal, field: FieldChoice) -> dict[Rank
                     if table is not None:
                         break
             if table is None:
-                inside = [m for m in ideal.gens if m & s == m]
-                if s and len(inside) <= k:
-                    # the nerve, as masks of generator indices, ascending:
-                    # the sets whose union is not S are closed under
-                    # subsets, so each is a listed one extended by its last
-                    # generator; each is carried with its union
-                    nerve = [(0, 0)]
-                    for i, m in enumerate(inside):
-                        nerve += [(t | 1 << i, u | m) for t, u in nerve if u | m != s]
-                    ranks = _ranks_from_faces([t for t, _ in nerve], field)
+                # the faces inside S: those holding no vertex outside S
+                within = faces
+                for v in bits((size - 1) ^ s):
+                    within &= ~has[v]
+                # the faces inside S, or its dual, ascending: both are closed
+                # under subsets, so each member is a listed one extended by
+                # its highest vertex
+                dual = s and 2 * within.bit_count() > 1 << k
+                listed, rest = [0], s
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    if dual:
+                        listed += [f | b for f in listed if not face[s ^ f ^ b]]
+                    else:
+                        listed += [f | b for f in listed if face[f | b]]
+                ranks = _ranks_from_faces(listed, field)
+                if dual:
                     table = tuple(sorted((k - 3 - e, r) for e, r in ranks.items() if r))
                 else:
-                    # the faces inside S, ascending: faces are closed under
-                    # subsets, so each face is a listed one extended by its
-                    # highest vertex
-                    faces, rest = [0], s
-                    while rest:
-                        b = rest & -rest
-                        rest ^= b
-                        faces += [f | b for f in faces if face[f | b]]
-                    ranks = _ranks_from_faces(faces, field)
                     table = tuple((d, r) for d, r in ranks.items() if r)
             if table:
                 if table not in found:

@@ -61,24 +61,32 @@ def edge_ideal(g: Graph) -> SquarefreeIdeal:
 
 
 def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:
-    """Minimal transversals of a family of bitmask sets (Berge's incremental
-    construction).  Empty family -> [0]; any empty member -> no transversal."""
+    """Minimal transversals of a family of bitmask sets, sorted by (degree,
+    mask), by Berge's incremental construction (C. Berge, Hypergraphs,
+    1989, ch. 2).  Empty family -> [0]; any empty member -> no transversal.
+
+    The members are added by ascending size. Adding s keeps the minimal
+    transversals h so far that meet s, and replaces each other h by the
+    h + b, b in s, that hold no kept one. That is the whole minimality
+    test: the old transversals are an antichain, so no h + b lies inside a
+    kept one or inside an h' + b' from another h'."""
     hs = [0]
     for s in sorted(sets, key=lambda x: x.bit_count()):
         if s == 0:
             return []
-        keep = [h for h in hs if h & s]
+        kept = [h for h in hs if h & s]
         grow = [h for h in hs if not h & s]
-        new = keep + [h | (1 << b) for h in grow for b in bits(s)]
-        hs = _antichain(new)
-    return hs
+        hs = kept + [c for b in bits(s) for c in (h | 1 << b for h in grow)
+                     if not any(k & c == k for k in kept)]
+    return sorted(hs, key=lambda x: (x.bit_count(), x))
 
 
 def dual_ideal(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
     """Alexander dual: generated by the minimal hitting sets of the
-    generator supports.  Dual of zero is unit and vice versa, since the
-    empty family has the one transversal 0 and the unit ideal has none."""
-    return squarefree_ideal(ideal.nvars, minimal_hitting_sets(ideal.gens))
+    generator supports, already an antichain sorted by (degree, mask).
+    Dual of zero is unit and vice versa, since the empty family has the one
+    transversal 0 and the unit ideal has none."""
+    return SquarefreeIdeal(ideal.nvars, tuple(minimal_hitting_sets(ideal.gens)))
 
 
 def _colon_set(earlier: list[int], m: int) -> int | None:

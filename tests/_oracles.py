@@ -33,12 +33,15 @@ for the clearing in `homology._ranks_from_faces`; it runs the package's own
 kernels on every row. The very end is the restriction pass that tests its
 three rules on each subset in turn, the reference for the pass that reads
 them off whole-table bitsets. After it, the generator nerve of a
-restriction, listed from plain sets, the reference for the nerve that the
-pass hands the kernel in place of the restriction's faces. Last come the bit
+restriction, listed from plain sets, a third route to the homology of a
+restriction beside its faces and the Alexander dual that the pass hands the
+kernel in place of them where the dual is the shorter list. Last come the bit
 positions of a mask found one test per bit, the reference for the table that
 `bitsets.bits` reads, and the pass's rule tables built by shifting the face
 plane once per face test, the reference for the per-vertex masks of
-`homology._rule_tables`.
+`homology._rule_tables`. After them, the Berge construction that cuts every
+step's candidates back to an antichain, the reference for
+`ideals.minimal_hitting_sets`.
 """
 
 import random
@@ -733,9 +736,10 @@ def restriction_homology_by_subset_rules(ideal, field):
     once. Read off in ascending S, with one dict per table, the planes give
     the same (S, ranks) sequence, with the same dicts shared. The face
     lists this hands the package's kernel `homology._ranks_from_faces`,
-    ordered by (|S|, S), are those the pass hands it, less the subsets a
-    vertex-star split settles, and with a generator nerve in place of the
-    faces where the nerve is no larger."""
+    ordered by (|S|, S), are those the pass hands it, less the generators,
+    which its sphere plane settles, and the subsets a vertex-star split
+    settles, and with the Alexander dual in S in place of the faces where
+    the dual is the shorter list."""
     if ideal.is_unit:
         raise ValueError("Betti numbers of the unit quotient are undefined")
     n = ideal.nvars
@@ -829,14 +833,15 @@ def bit_positions(mask):
 
 
 def rule_tables_by_face_shifts(gens, n):
-    """(kernel, point, fold, face) of the restriction pass, built as the
-    pass once did: each face test shifts the 2^n-bit face plane, each pair
-    and each generator through u is tried against every w, and the subsets
-    meeting a vertex set are ORed afresh each time. It is the reference for
-    `homology._rule_tables`, which reads the same tests off per-vertex masks
-    and a byte image of the faces. Positions come from `bit_positions`; the
-    vertex planes and the byte image are the package's `vertex_masks` and
-    `homology._spread`, each checked on its own."""
+    """(kernel, point, fold, sphere, faces, face) of the restriction pass,
+    built as the pass once did: each face test shifts the 2^n-bit face
+    plane, each pair and each generator through u is tried against every
+    w, and the subsets meeting a vertex set are ORed afresh each time; the
+    sphere plane holds each generator that no rule took. It is the
+    reference for `homology._rule_tables`, which reads the same tests off
+    per-vertex masks and a byte image of the faces. Positions come from
+    `bit_positions`; the vertex planes and the byte image are the package's
+    `vertex_masks` and `homology._spread`, each checked on its own."""
     size = 1 << n
     full = (1 << size) - 1
     has = vertex_masks(n)
@@ -886,4 +891,28 @@ def rule_tables_by_face_shifts(gens, n):
         for w, x in enumerate(rule):
             rule[w] = x & ~taken
             taken |= x
-    return full & ~taken, point, fold, homology._spread(faces, size)
+    sphere = sum(1 << m for m in gens if not taken >> m & 1)
+    return full & ~taken & ~sphere, point, fold, sphere, faces, homology._spread(faces, size)
+
+
+def hitting_sets_by_antichain(sets):
+    """Minimal transversals of a family of bitmask sets, sorted by (degree,
+    mask), by Berge's incremental construction as `ideals.minimal_hitting_sets`
+    once ran it: each member, by ascending size, keeps the transversals that
+    meet it and extends the others by each of its elements, and the
+    candidates are cut back to their minimal elements by testing each
+    against every one kept before it. The reference for the step that tests
+    each extension against the kept transversals alone. Empty family ->
+    [0]; any empty member -> no transversal."""
+    hs = [0]
+    for s in sorted(sets, key=lambda x: x.bit_count()):
+        if s == 0:
+            return []
+        keep = [h for h in hs if h & s]
+        grow = [h for h in hs if not h & s]
+        new = keep + [h | (1 << b) for h in grow for b in bit_positions(s)]
+        hs = []
+        for m in sorted(set(new), key=lambda x: (x.bit_count(), x)):
+            if not any(k & m == k for k in hs):
+                hs.append(m)
+    return hs

@@ -120,14 +120,15 @@ def test_package_imports_without_site_packages():
     # ignores PYTHONPATH, so only the standard library and src are there
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     # fractions, which also loads decimal, is imported only by a rational
-    # rank that needs a non-unit pivot
+    # rank that needs a non-unit pivot, and multiprocessing only by a run
+    # with more than one worker
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
             "import edgeideals, edgeideals.cli; "
             "print(any('site-packages' in p for p in sys.path), "
-            "'fractions' in sys.modules)")
+            "'fractions' in sys.modules, 'multiprocessing' in sys.modules)")
     run = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False False"
+    assert run.stdout.strip() == "False False False"
 
 
 def test_generate_count(capsys):

@@ -65,9 +65,11 @@ class _RecordingPool:
 ])
 def test_verify_starts_at_most_cpus_and_subjects_workers(jobs, cpus, workers,
                                                          monkeypatch):
+    import multiprocessing
+
     import edgeideals.harness as harness
 
-    monkeypatch.setattr(harness.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     report = verify_theorems(max_n=3, with_families=False, jobs=jobs)

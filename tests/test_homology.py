@@ -390,6 +390,13 @@ def _two_variable_stars(ideal):
     return stars
 
 
+def _dual_faces(s, faces):
+    """The Alexander dual in S of the complex with these faces inside S, as
+    the sets F inside S with S - F not a face, ascending."""
+    held = set(faces)
+    return [f for f in submasks(s) if s ^ f not in held]
+
+
 def _nerve_faces(ideal, s):
     """The faces of the nerve of the generators inside S, as masks of their
     positions among those generators, ascending: the T whose union is not S."""
@@ -408,12 +415,13 @@ def _nerve_faces(ideal, s):
 def _same_as_subset_rules(ideal, field, monkeypatch):
     """Check the pass against the subset-rule oracle: the same (S, ranks)
     list with the same dicts shared, and the oracle's kernel face lists
-    reordered by (|S|, S), less those of the S that a vertex-star split
-    settles: some v in S with a two-variable star where no degree has
-    homology on both S - v and S - N[v]. For each nonempty S with no more
-    generators inside it than vertices, the kernel sees the nerve of those
-    generators in place of the oracle's faces, and the oracle's list
-    otherwise. Returns the number of kernel calls."""
+    reordered by (|S|, S), less those of the generators, which the sphere
+    plane settles, and of the S that a vertex-star split settles: some v in
+    S with a two-variable star where no degree has homology on both S - v
+    and S - N[v]. For each nonempty S whose Alexander dual in S is the
+    shorter list, the kernel sees that dual in place of the oracle's faces,
+    and the oracle's list otherwise. Returns the number of kernel calls and
+    the number of those that got a dual."""
     expect, expect_first, oracle_faces, subsets = _pass_and_kernel_inputs(
         oracle.restriction_homology_by_subset_rules, ideal, field, monkeypatch)
     got, first, faces, _ = _pass_and_kernel_inputs(
@@ -428,24 +436,30 @@ def _same_as_subset_rules(ideal, field, monkeypatch):
                    & ranks.get(s & ~near, {}).keys() for v, near in stars.items())
 
     def kernel_input(s, faces):
-        nerve = s and sum(m & s == m for m in ideal.gens) <= s.bit_count()
-        return _nerve_faces(ideal, s) if nerve else faces
+        dual = _dual_faces(s, faces) if s else faces
+        return dual if len(dual) < len(faces) else faces
 
+    gens = set(ideal.gens)
     ordered = sorted(zip(subsets, oracle_faces), key=lambda x: (x[0].bit_count(), x[0]))
-    assert faces == [kernel_input(s, f) for s, f in ordered if not split(s)], (ideal, field)
-    return len(faces)
+    inputs = [(f, kernel_input(s, f)) for s, f in ordered if not split(s) and s not in gens]
+    assert faces == [x for _, x in inputs], (ideal, field)
+    return len(faces), sum(f is not x for f, x in inputs)
 
 
 def test_restriction_pass_matches_subset_rule_oracle(monkeypatch):
     # the same (S, ranks) list and the same dicts shared as the pass that
     # tests each subset in turn, and its kernel face lists less the split
-    # ones, with a nerve in place of the faces where it is no larger
+    # ones and the generators, with the Alexander dual in place of the faces
+    # where the dual is the shorter list
+    calls = duals = 0
     for n in range(1, 8):
         for g in enumerate_graphs(n, connected_only=False):
             ideals = [edge_ideal(g)] + ([dual_ideal(edge_ideal(g))] if g.edge_count() else [])
             for ideal in ideals:
                 for field in (GF2, GF3, Q) if n <= 6 else (GF2,):
-                    _same_as_subset_rules(ideal, field, monkeypatch)
+                    got = _same_as_subset_rules(ideal, field, monkeypatch)
+                    calls, duals = calls + got[0], duals + got[1]
+    assert (calls, duals) == (5357, 2002)
     # the 12-vertex graphs analyze is benchmarked on, under three
     # relabellings; of their 45,056 restrictions the oracle's kernel sees
     # 548, and the split leaves only S = {} of each graph to the kernel
@@ -455,7 +469,7 @@ def test_restriction_pass_matches_subset_rule_oracle(monkeypatch):
         for spec in _ANALYZE_SPECS:
             g = _relabel(family(spec.removeprefix("co-")), rng)
             ideal = edge_ideal(complement(g) if spec.startswith("co-") else g)
-            calls += _same_as_subset_rules(ideal, GF2, monkeypatch)
+            calls += _same_as_subset_rules(ideal, GF2, monkeypatch)[0]
         assert calls == 11
     # the edge and cover ideals of the relabelled 9- and 10-vertex d-trees
     # that Betti tables over GF(3) and Q are benchmarked on
@@ -517,40 +531,94 @@ def test_restriction_pass_corner_cases(monkeypatch):
         assert kernel == [[0]]
 
 
-def test_generator_nerve_has_the_restrictions_homology_in_dual_degrees():
-    # rank Htilde_d(restriction to S) = rank Htilde_{|S|-d-3}(nerve of the
-    # generators inside S), both from the dense oracle kernel, on every
-    # nonempty S that is no cone: each vertex of S lies in a generator
-    # inside S. Every ideal on at most four variables and seeded random
-    # ones on at most eight, with more, as many and fewer generators
-    # inside S than vertices
+def _non_cone_restrictions():
+    """(ideal, S, the generators inside S, the faces inside S, ascending)
+    for every nonempty S that is no cone, each vertex of S in a generator
+    inside S: every ideal on at most four variables, seeded random ones on
+    at most eight, and dense ones, where many generators lie inside S."""
     ideals = [squarefree_ideal(n, gens) for n in range(5)
               for gens in _antichains(list(range(1, 1 << n)))]
     ideals += [ideal for ideal in _random_ideals(120, 24) if not ideal.is_unit]
-    # dense ones, where many generators lie inside S
     ideals.append(minimal_nonfaces(
         simplicial_complex(6, [mask_of(t) for t in _PROJECTIVE_PLANE])))
     ideals += [edge_ideal(family(f"complete:{n}")) for n in (4, 5)]
     ideals += [dual_ideal(edge_ideal(family(spec))) for spec in ("cycle:6", "path:7")]
-    seen = set()
     for ideal in ideals:
-        faces = _stanley_reisner_faces(ideal)
         for s in range(1, 1 << ideal.nvars):
             inside = [m for m in ideal.gens if m & s == m]
-            if mask_of(v for m in inside for v in range(ideal.nvars) if m >> v & 1) != s:
-                continue
-            k, size = len(inside), s.bit_count()
-            seen.add((k > size) - (k < size))
-            nerve = oracle.generator_nerve(ideal.gens, s)
-            assert sorted(nerve) == _nerve_faces(ideal, s), (ideal, s)
-            restriction = [f for f in faces if f & s == f]
-            for field in (GF2, GF3, _GF5, Q):
-                expect = {d: r for d, r in oracle.ranks_from_faces(restriction, field).items()
-                          if r}
-                got = {size - 3 - e: r for e, r in oracle.ranks_from_faces(nerve, field).items()
-                       if r}
-                assert got == expect, (ideal, s, field)
+            if mask_of(v for m in inside for v in range(ideal.nvars) if m >> v & 1) == s:
+                faces = [f for f in range(s + 1) if f & s == f
+                         and not any(m & f == m for m in inside)]
+                yield ideal, s, inside, faces
+
+
+def test_alexander_dual_has_the_restrictions_homology_in_dual_degrees():
+    # rank Htilde_d(restriction to S) = rank Htilde_{|S|-d-3}(its Alexander
+    # dual in S, the F inside S with S - F a non-face), both from the dense
+    # oracle kernel, with more, as many and fewer generators inside S than
+    # vertices, and with the dual the shorter and the longer list
+    seen, shorter = set(), set()
+    for ideal, s, inside, faces in _non_cone_restrictions():
+        k, size = len(inside), s.bit_count()
+        seen.add((k > size) - (k < size))
+        held = set(faces)
+        dual = [f for f in range(s + 1) if f & s == f and s ^ f not in held]
+        assert len(faces) + len(dual) == 1 << size
+        shorter.add(len(dual) < len(faces))
+        for field in (GF2, GF3, _GF5, Q):
+            expect = {d: r for d, r in oracle.ranks_from_faces(faces, field).items() if r}
+            got = {size - 3 - e: r for e, r in oracle.ranks_from_faces(dual, field).items() if r}
+            assert got == expect, (ideal, s, field)
+    assert seen == {-1, 0, 1} and shorter == {False, True}
+
+
+def test_generator_nerve_has_the_restrictions_homology_in_dual_degrees():
+    # rank Htilde_d(restriction to S) = rank Htilde_{|S|-d-3}(nerve of the
+    # generators inside S), both from the dense oracle kernel, with more,
+    # as many and fewer generators inside S than vertices
+    seen = set()
+    for ideal, s, inside, faces in _non_cone_restrictions():
+        k, size = len(inside), s.bit_count()
+        seen.add((k > size) - (k < size))
+        nerve = oracle.generator_nerve(ideal.gens, s)
+        assert sorted(nerve) == _nerve_faces(ideal, s), (ideal, s)
+        for field in (GF2, GF3, _GF5, Q):
+            expect = {d: r for d, r in oracle.ranks_from_faces(faces, field).items() if r}
+            got = {size - 3 - e: r for e, r in oracle.ranks_from_faces(nerve, field).items()
+                   if r}
+            assert got == expect, (ideal, s, field)
     assert seen == {-1, 0, 1}
+
+
+def test_sphere_plane_holds_each_generator_that_no_rule_takes():
+    # every generator m restricts to the boundary of the simplex on m: one
+    # rank in degree |m| - 2, from the dense oracle and from the pass. The
+    # kernel plane holds no generator; the point rule takes those of two
+    # variables and the sphere plane all others
+    ideals = [squarefree_ideal(n, gens) for n in range(5)
+              for gens in _antichains(list(range(1, 1 << n)))]
+    ideals += [ideal for ideal in _random_ideals(300, 32) if not ideal.is_unit]
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, connected_only=False):
+            if g.edge_count():
+                ideals += [edge_ideal(g), dual_ideal(edge_ideal(g))]
+    degrees = set()
+    for ideal in ideals:
+        kernel, point, _, sphere, _, _ = homology._rule_tables(ideal.gens, ideal.nvars)
+        planes = homology._restriction_planes(ideal, GF2)
+        for m in ideal.gens:
+            size = m.bit_count()
+            degrees.add(size)
+            assert not kernel >> m & 1, (ideal, m)
+            assert sphere >> m & 1 == (size != 2), (ideal, m)
+            assert any(x >> m & 1 for x in point) == (size == 2), (ideal, m)
+            assert [t for t, x in planes.items() if x >> m & 1] == [((size - 2, 1),)]
+            # the faces inside m are its proper subsets
+            boundary = [f for f in submasks(m) if f != m]
+            for field in (GF2, Q):
+                ranks = oracle.ranks_from_faces(boundary, field)
+                assert {d: r for d, r in ranks.items() if r} == {size - 2: 1}
+    assert degrees == {1, 2, 3, 4, 5}
 
 
 def test_vertex_masks_hold_the_subsets_of_each_vertex():
@@ -607,8 +675,10 @@ def test_clearing_matches_full_elimination_where_it_fires(monkeypatch):
     # every face list that reaches the kernel for the cover ideals of the
     # 7-vertex classes over GF(2), and of the benchmark's 9- and 10-vertex
     # d-trees over GF(3) and Q, where clearing leaves out most rows; the
-    # pass hands it nerves there, so the faces of the same restrictions are
-    # also fed to it directly, by the subset-rule oracle
+    # pass hands it short duals there, so the faces of every restriction
+    # that no rule settles are also fed to it directly, by the subset-rule
+    # oracle, up to 973 faces, among them the 937 of S = all 10 variables
+    # of dtree:2,7,0
     seen, sizes = [], []
     kernel = homology._ranks_from_faces
 
@@ -629,22 +699,23 @@ def test_clearing_matches_full_elimination_where_it_fires(monkeypatch):
             cover = dual_ideal(edge_ideal(family(f"dtree:{d},{n - d - 1},0")))
             for field in fields:
                 hochster_betti(cover, field)
-    assert seen.count(GF2) > 8000 and seen.count(GF3) > 70 and seen.count(Q) > 30
+    assert (seen.count(GF2), seen.count(GF3), seen.count(Q)) == (2555, 12, 6)
     sizes.clear()
     for n, fields in ((9, (GF3, Q)), (10, (GF3,))):
         for d in (1, 2, 3):
             cover = dual_ideal(edge_ideal(family(f"dtree:{d},{n - d - 1},0")))
             for field in fields:
                 list(oracle.restriction_homology_by_subset_rules(cover, field))
-    assert len(sizes) == 112 and max(sizes) >= 900
+    assert len(sizes) == 112 and max(sizes) == 973 and 937 in sizes
     assert sum(size >= 246 for size in sizes) >= 14
 
 
 def test_clearing_cuts_the_rows_of_the_sparse_kernel(monkeypatch):
-    # full elimination hands 105 rows to the sparse loop here, on the
-    # generator nerves the pass hands the kernel, 62 of them the rows of
-    # faces with at least 3 vertices (2,857 and 2,481 on the faces of the
-    # same restrictions); a face's row has one entry per vertex
+    # full elimination hands 63 rows to the sparse loop here, on the three
+    # lists the pass hands the kernel, 21 of them the rows of faces with at
+    # least 3 vertices (2,857 and 2,481 on the faces of the 13 restrictions
+    # that the subset-rule oracle hands it); a face's row has one entry per
+    # vertex
     rows = []
     kernel = homology._rank_sparse
 
@@ -656,15 +727,16 @@ def test_clearing_cuts_the_rows_of_the_sparse_kernel(monkeypatch):
     table = hochster_betti(dual_ideal(edge_ideal(family("dtree:3,6,0"))), GF3)
     # Terai: pd of the cover ideal is reg(R/I(G)) + 1 = 2 + 1
     assert table.pd() == 3
-    assert sum(k >= 3 for k in rows) <= 50
-    assert len(rows) == 55
+    assert sum(k >= 3 for k in rows) == 17
+    assert len(rows) == 34
 
 
-def test_generator_nerves_cut_the_faces_of_the_cover_kernel(monkeypatch):
-    # the faces handed to the rank kernel over GF(3) for two 12-variable
-    # cover ideals: 3,237 and 14,175 when each kernel subset lists its own
-    # faces; every kernel subset of path:11's cover but S = {} is a
-    # generator, whose nerve {emptyset} is one face, as is S = {}'s own list
+def test_alexander_duals_cut_the_faces_of_the_cover_kernel(monkeypatch):
+    # the faces handed to the rank kernel over GF(3) for three 12-variable
+    # cover ideals: 3,237, 14,175 and 7,714 when each restriction that no
+    # rule settles lists its own faces; every such subset of path:11's cover
+    # but S = {} is a generator, which the sphere plane settles, and S = {}
+    # lists {emptyset}
     sizes = []
     kernel = homology._ranks_from_faces
 
@@ -673,19 +745,20 @@ def test_generator_nerves_cut_the_faces_of_the_cover_kernel(monkeypatch):
         return kernel(faces, field)
 
     monkeypatch.setattr(homology, "_ranks_from_faces", counting)
-    for spec, (reg, pd), calls, budget in (("path:11", (7, 5), 29, 29),
-                                           ("dtree:2,9,0", (9, 4), 27, 4100)):
+    for spec, (reg, pd), calls, total in (("path:11", (7, 5), 1, 1),
+                                          ("dtree:2,9,0", (9, 4), 6, 270),
+                                          ("cycle:12", (7, 5), 2, 323)):
         sizes.clear()
         table = hochster_betti(dual_ideal(edge_ideal(family(spec))), GF3)
         assert (table.reg(), table.pd()) == (reg, pd), spec
-        assert len(sizes) == calls and sum(sizes) <= budget, (spec, sizes)
+        assert len(sizes) == calls and sum(sizes) == total, (spec, sizes)
 
 
 def test_gf2_kernel_matches_dense_oracle_on_the_largest_cover_inputs(monkeypatch):
     # every face list the rank kernel gets for two 12-variable cover ideals
-    # over GF(2), each against the dense xor oracle; the largest are S = all
-    # 12 variables, with more generators inside it than vertices, handed
-    # its own faces
+    # over GF(2), from the pass and from the subset-rule oracle, each
+    # against the dense xor oracle; the largest are S = all 12 variables,
+    # whose dual the pass lists and whose faces the oracle lists
     seen = []
     kernel = homology._ranks_from_faces
 
@@ -694,11 +767,16 @@ def test_gf2_kernel_matches_dense_oracle_on_the_largest_cover_inputs(monkeypatch
         return kernel(faces, field)
 
     monkeypatch.setattr(homology, "_ranks_from_faces", recording)
-    for spec, largest in (("cycle:12", 3774), ("dtree:2,9,0", 3898)):
+    for spec, largest, direct in (("cycle:12", 322, 3774), ("dtree:2,9,0", 198, 3898)):
+        cover = dual_ideal(edge_ideal(family(spec)))
         seen.clear()
-        hochster_betti(dual_ideal(edge_ideal(family(spec))), GF2)
+        hochster_betti(cover, GF2)
         assert max(map(len, seen)) == largest, spec
-        for faces in seen:
+        listed = seen[:]
+        seen.clear()
+        list(oracle.restriction_homology_by_subset_rules(cover, GF2))
+        assert max(map(len, seen)) == direct, spec
+        for faces in listed + seen:
             assert kernel(faces, GF2) == oracle.ranks_from_faces(faces, GF2), (spec, faces)
 
 

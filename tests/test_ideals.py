@@ -10,7 +10,7 @@ from edgeideals import (GF2, LinearQuotientCertificate, betti_from_certificate,
                         linear_quotient_search, minimal_hitting_sets,
                         shellable, squarefree_ideal,
                         validate_linear_quotients, verify_dual_decomposition)
-from edgeideals.bitsets import bits
+from edgeideals.bitsets import bits, mask_of
 from edgeideals.harness import GraphWorkup
 from edgeideals.ideals import _colon_sets
 
@@ -45,6 +45,31 @@ def test_minimal_hitting_sets_edge_cases():
     assert minimal_hitting_sets([]) == [0]
     assert minimal_hitting_sets([0b10, 0]) == []
     assert minimal_hitting_sets([0b011, 0b110]) == [0b010, 0b101]
+
+
+def test_minimal_hitting_sets_match_the_antichain_oracle():
+    # the edge and cover ideals of every class on 1-7 vertices, and seeded
+    # random families on at most 10 variables, not antichains, with repeated
+    # members, the empty family and empty members among them
+    families = []
+    for n in range(1, 8):
+        for g in enumerate_graphs(n, connected_only=False):
+            edge = edge_ideal(g)
+            families += [(n, edge.gens), (n, dual_ideal(edge).gens)]
+    rng = random.Random(32)
+    for _ in range(3000):
+        n = rng.randint(1, 10)
+        members = [mask_of(rng.sample(range(n), rng.randint(1, min(n, 5))))
+                   for _ in range(rng.randint(0, 12))]
+        if members:
+            members.append(0 if rng.randrange(20) == 0 else rng.choice(members))
+        families.append((n, members))
+    for n, sets in families:
+        expect = oracle.hitting_sets_by_antichain(sets)
+        assert minimal_hitting_sets(sets) == expect, sets
+        assert dual_ideal(squarefree_ideal(n, sets)) == squarefree_ideal(n, expect), sets
+    assert any(not sets for _, sets in families)
+    assert any(0 in sets for _, sets in families)
 
 
 def test_minimal_vertex_covers_match_bruteforce(graphs_through_5):
